@@ -9,14 +9,21 @@
 //     measured over a high-contention 16-thread Euno run (the hot path:
 //     mem_access -> doom check -> coherence cost -> HTM protocol), with
 //     observability OFF — the number PR-over-PR regression checks gate on.
+//     Median of kHotRuns timed runs.
 //   - obs_on_wall_ns_per_access: the same run with every obs channel ON
 //     (latency + contention + trace), tracking the cost of instrumentation;
-//     the sim results must stay bit-identical either way.
+//     the sim results must stay bit-identical either way. Median of kHotRuns
+//     runs, interleaved with the obs-off runs so host drift hits both alike.
+//   - simd_speedup_*: scalar over SIMD in-node search time, the median of
+//     kSearchRuns interleaved scalar/SIMD timing pairs.
+// The JSON artifact also carries every per-run value behind each median.
 //   - sweep_experiments_per_min: experiments per minute for the standard
 //     quick Figure-10 sweep (4 panels x {4,16} threads x 4 trees = 32 cells),
 //     sequential and — when the host has cores — with --jobs=auto.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "fig_common.hpp"
 #include "obs/json.hpp"
@@ -54,10 +61,11 @@ std::vector<std::uint64_t> search_probes(const std::vector<std::uint64_t>& keys)
   return probes;
 }
 
+using SearchKernel = int (*)(const std::uint64_t*, int, std::uint64_t);
+
 // ns/op for one kernel over prebuilt data. `sink` accumulates the results
 // (printed once by the caller) to defeat dead-code elimination.
-double time_search_ns(int (*kern)(const std::uint64_t*, int, std::uint64_t),
-                      const std::uint64_t* data, int n,
+double time_search_ns(SearchKernel kern, const std::uint64_t* data, int n,
                       const std::vector<std::uint64_t>& probes,
                       std::uint64_t* sink) {
   const std::size_t mask = probes.size() - 1;
@@ -77,6 +85,45 @@ double time_search_ns(int (*kern)(const std::uint64_t*, int, std::uint64_t),
   return wall_ms(t0, t1) * 1e6 / kIters;
 }
 
+double per_access_ns(double ms, std::uint64_t accesses) {
+  return accesses > 0 ? ms * 1e6 / static_cast<double>(accesses) : 0;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n == 0 ? 0 : n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+// One kernel pair timed scalar-then-SIMD `runs` times, interleaved so host
+// noise hits both sides of each ratio alike.
+struct KernelPair {
+  std::vector<double> scalar_ns, simd_ns, speedup;
+};
+
+KernelPair time_kernel_pair(SearchKernel scalar, SearchKernel simd,
+                            const std::uint64_t* data, int n,
+                            const std::vector<std::uint64_t>& probes, int runs,
+                            std::uint64_t* sink) {
+  KernelPair p;
+  for (int r = 0; r < runs; ++r) {
+    p.scalar_ns.push_back(time_search_ns(scalar, data, n, probes, sink));
+    p.simd_ns.push_back(time_search_ns(simd, data, n, probes, sink));
+    p.speedup.push_back(p.simd_ns.back() > 0
+                            ? p.scalar_ns.back() / p.simd_ns.back()
+                            : 0);
+  }
+  return p;
+}
+
+void kv_runs(obs::JsonWriter& w, const char* name, const std::vector<double>& v,
+             int prec) {
+  w.key(name);
+  w.begin_array();
+  for (double x : v) w.value(x, prec);
+  w.end_array();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -85,7 +132,7 @@ int main(int argc, char** argv) {
   // --- Part 1: hot-path cost (wall-ns per instrumented access) ---
   // A small store with a long measured phase, so instrumented accesses (not
   // the uninstrumented preload or arena setup) dominate the wall clock. One
-  // warm-up run (page faults, zeta cache), then a timed run.
+  // warm-up run (page faults, zeta cache), then kHotRuns timed runs.
   auto hot = bench::figure_spec(args);
   hot.tree = driver::TreeKind::kEuno;
   hot.workload.dist_param = 0.9;
@@ -98,13 +145,6 @@ int main(int argc, char** argv) {
   bench::print_header("Self-perf", "simulator host-side performance", hot);
 
   (void)driver::run_sim_experiment(hot);
-  const auto h0 = std::chrono::steady_clock::now();
-  const auto hr = driver::run_sim_experiment(hot);
-  const auto h1 = std::chrono::steady_clock::now();
-  const double hot_ms = wall_ms(h0, h1);
-  const double ns_per_access =
-      hr.mem_accesses > 0 ? hot_ms * 1e6 / static_cast<double>(hr.mem_accesses)
-                          : 0;
 
   // Same run, all observability channels on: the delta is the full cost of
   // instrumentation, and the simulated quantities must not move at all.
@@ -112,16 +152,27 @@ int main(int argc, char** argv) {
   hot_obs.obs.latency = true;
   hot_obs.obs.contention = true;
   hot_obs.obs.trace = true;
-  const auto o0 = std::chrono::steady_clock::now();
-  const auto orr = driver::run_sim_experiment(hot_obs);
-  const auto o1 = std::chrono::steady_clock::now();
-  const double obs_ms = wall_ms(o0, o1);
-  const double obs_ns_per_access =
-      orr.mem_accesses > 0 ? obs_ms * 1e6 / static_cast<double>(orr.mem_accesses)
-                           : 0;
-  const bool obs_identical = orr.sim_cycles == hr.sim_cycles &&
-                             orr.aborts_total == hr.aborts_total &&
-                             orr.mem_accesses == hr.mem_accesses;
+
+  constexpr int kHotRuns = 3;
+  std::vector<double> hot_ms_runs, ns_runs, obs_ns_runs;
+  driver::ExperimentResult hr, orr;
+  bool obs_identical = true;
+  for (int r = 0; r < kHotRuns; ++r) {
+    const auto h0 = std::chrono::steady_clock::now();
+    hr = driver::run_sim_experiment(hot);
+    const auto h1 = std::chrono::steady_clock::now();
+    orr = driver::run_sim_experiment(hot_obs);
+    const auto o1 = std::chrono::steady_clock::now();
+    hot_ms_runs.push_back(wall_ms(h0, h1));
+    ns_runs.push_back(per_access_ns(hot_ms_runs.back(), hr.mem_accesses));
+    obs_ns_runs.push_back(per_access_ns(wall_ms(h1, o1), orr.mem_accesses));
+    obs_identical = obs_identical && orr.sim_cycles == hr.sim_cycles &&
+                    orr.aborts_total == hr.aborts_total &&
+                    orr.mem_accesses == hr.mem_accesses;
+  }
+  const double hot_ms = median(hot_ms_runs);
+  const double ns_per_access = median(ns_runs);
+  const double obs_ns_per_access = median(obs_ns_runs);
   const double obs_overhead_pct =
       ns_per_access > 0 ? 100.0 * (obs_ns_per_access / ns_per_access - 1.0) : 0;
 
@@ -139,19 +190,20 @@ int main(int argc, char** argv) {
     kv[2 * i] = keys[i];
     kv[2 * i + 1] = i;
   }
+  constexpr int kSearchRuns = 5;
   std::uint64_t sink = 0;
-  const double count_le_scalar_ns = time_search_ns(
-      scalar_k.count_le, keys.data(), kSearchFanout, probes, &sink);
-  const double count_le_simd_ns = time_search_ns(
-      simd_k.count_le, keys.data(), kSearchFanout, probes, &sink);
-  const double find_eq_scalar_ns = time_search_ns(
-      scalar_k.find_eq_pairs, kv.data(), kSearchFanout, probes, &sink);
-  const double find_eq_simd_ns = time_search_ns(
-      simd_k.find_eq_pairs, kv.data(), kSearchFanout, probes, &sink);
-  const double speedup_count_le =
-      count_le_simd_ns > 0 ? count_le_scalar_ns / count_le_simd_ns : 0;
-  const double speedup_find_eq =
-      find_eq_simd_ns > 0 ? find_eq_scalar_ns / find_eq_simd_ns : 0;
+  const KernelPair count_le =
+      time_kernel_pair(scalar_k.count_le, simd_k.count_le, keys.data(),
+                       kSearchFanout, probes, kSearchRuns, &sink);
+  const KernelPair find_eq =
+      time_kernel_pair(scalar_k.find_eq_pairs, simd_k.find_eq_pairs, kv.data(),
+                       kSearchFanout, probes, kSearchRuns, &sink);
+  const double count_le_scalar_ns = median(count_le.scalar_ns);
+  const double count_le_simd_ns = median(count_le.simd_ns);
+  const double speedup_count_le = median(count_le.speedup);
+  const double find_eq_scalar_ns = median(find_eq.scalar_ns);
+  const double find_eq_simd_ns = median(find_eq.simd_ns);
+  const double speedup_find_eq = median(find_eq.speedup);
   std::printf("search kernel: %s (sink %llu)\n", simd_k.name,
               static_cast<unsigned long long>(sink & 1));
 
@@ -230,7 +282,9 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.kv("bench", "sim_selfperf");
     w.kv("wall_ns_per_access", ns_per_access, 2);
+    kv_runs(w, "wall_ns_per_access_runs", ns_runs, 2);
     w.kv("obs_on_wall_ns_per_access", obs_ns_per_access, 2);
+    kv_runs(w, "obs_on_wall_ns_per_access_runs", obs_ns_runs, 2);
     w.kv("obs_overhead_pct", obs_overhead_pct, 2);
     w.kv("obs_bit_identical", obs_identical);
     w.kv("hot_run_accesses", hr.mem_accesses);
@@ -240,9 +294,11 @@ int main(int argc, char** argv) {
     w.kv("count_le_scalar_ns", count_le_scalar_ns, 3);
     w.kv("count_le_simd_ns", count_le_simd_ns, 3);
     w.kv("simd_speedup_count_le", speedup_count_le, 3);
+    kv_runs(w, "simd_speedup_count_le_runs", count_le.speedup, 3);
     w.kv("find_eq_scalar_ns", find_eq_scalar_ns, 3);
     w.kv("find_eq_simd_ns", find_eq_simd_ns, 3);
     w.kv("simd_speedup_find_eq", speedup_find_eq, 3);
+    kv_runs(w, "simd_speedup_find_eq_runs", find_eq.speedup, 3);
     w.kv("sweep_cells", static_cast<std::uint64_t>(specs.size()));
     w.kv("sweep_seq_ms", seq_ms, 2);
     w.kv("sweep_seq_experiments_per_min", seq_epm, 2);

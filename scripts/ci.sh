@@ -12,10 +12,16 @@
 # the generated manifest with scripts/report.py, which exits nonzero on any
 # manifest schema violation.
 #
+# The default job also runs the repository benchmark's self-test
+# (perfbench/selftest.py): simulated metrics must be byte-identical across
+# two runs and a traced run must equal an untraced one — the end-to-end
+# guard for changes to the ctx retry engine and the simulator.
+#
 # The default job finishes with the self-perf regression gate: it runs
 # bench/sim_selfperf --quick (which emits the BENCH_sim_selfperf.json
 # artifact in the build directory) and checks the numbers against
-# bench/selfperf_budget.json via scripts/check_selfperf.py — failing on a
+# bench/selfperf_budget.json via scripts/check_selfperf.py (each timed
+# figure is the median of repeated interleaved runs) — failing on a
 # >15% ns-per-access regression, obs-on overhead above 25%, SIMD search
 # speedups below their floors, or any bit-identity tripwire.
 #
@@ -64,6 +70,7 @@ case "$job" in
     ctest --test-dir build --output-on-failure -L strkey
     python3 scripts/report.py build/obs_native_manifest.json \
       -o build/obs_native_report.html
+    python3 perfbench/selftest.py
     (cd build && ./bench/sim_selfperf --quick)
     python3 scripts/check_selfperf.py build/BENCH_sim_selfperf.json
     ;;

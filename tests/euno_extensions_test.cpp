@@ -1,10 +1,8 @@
 // Tests for the Euno-B+Tree extensions: bulk loading and introspection.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
-#include "core/euno_snapshot.hpp"
 #include "core/euno_tree.hpp"
 #include "tree_conformance.hpp"
 
@@ -222,71 +220,6 @@ TEST(EunoScanCompaction, TransientVariantLeavesSegmentsAlone) {
   EXPECT_EQ(after.records_in_segments, before.records_in_segments);
   tree.check_invariants();
   tree.destroy(c);
-}
-
-TEST(EunoSnapshot, SaveLoadRoundTrip) {
-  const std::string path = "/tmp/euno_snapshot_test.bin";
-  ctx::NativeEnv env;
-  ctx::NativeCtx c(env, 0);
-  std::map<Key, Value> expect;
-  {
-    EunoBPTree<ctx::NativeCtx> tree(c, EunoConfig::full());
-    Xoshiro256 rng(9);
-    for (int i = 0; i < 20000; ++i) {
-      const Key k = rng.next_bounded(100000);
-      const Value v = rng.next();
-      tree.put(c, k, v);
-      expect[k] = v;
-    }
-    for (int i = 0; i < 3000; ++i) {
-      const Key k = rng.next_bounded(100000);
-      tree.erase(c, k);
-      expect.erase(k);
-    }
-    const long saved = core::save_snapshot(c, tree, path);
-    ASSERT_EQ(saved, static_cast<long>(expect.size()));
-    tree.destroy(c);
-  }
-  {
-    EunoBPTree<ctx::NativeCtx> tree(c, EunoConfig::full());
-    const long loaded = core::load_snapshot(c, tree, path);
-    ASSERT_EQ(loaded, static_cast<long>(expect.size()));
-    tree.check_invariants();
-    EXPECT_EQ(tree.size_slow(), expect.size());
-    for (const auto& [k, v] : expect) {
-      Value got = 0;
-      ASSERT_TRUE(tree.get(c, k, &got)) << k;
-      ASSERT_EQ(got, v);
-    }
-    tree.destroy(c);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(EunoSnapshot, EmptyTreeRoundTrip) {
-  const std::string path = "/tmp/euno_snapshot_empty.bin";
-  ctx::NativeEnv env;
-  ctx::NativeCtx c(env, 0);
-  EunoBPTree<ctx::NativeCtx> tree(c, EunoConfig::full());
-  EXPECT_EQ(core::save_snapshot(c, tree, path), 0);
-  EunoBPTree<ctx::NativeCtx> tree2(c, EunoConfig::full());
-  EXPECT_EQ(core::load_snapshot(c, tree2, path), 0);
-  EXPECT_EQ(tree2.size_slow(), 0u);
-  tree.destroy(c);
-  tree2.destroy(c);
-  std::remove(path.c_str());
-}
-
-TEST(EunoSnapshot, RejectsCorruptFiles) {
-  const std::string path = "/tmp/euno_snapshot_corrupt.bin";
-  FILE* f = fopen(path.c_str(), "wb");
-  const char junk[64] = "this is not a snapshot";
-  fwrite(junk, sizeof(junk), 1, f);
-  fclose(f);
-  std::vector<KV> out;
-  EXPECT_FALSE(core::read_snapshot(path, &out));
-  EXPECT_FALSE(core::read_snapshot("/tmp/euno_no_such_file.bin", &out));
-  std::remove(path.c_str());
 }
 
 TEST(EunoBulkLoad, RejectsNonEmptyTree) {
