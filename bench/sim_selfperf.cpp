@@ -14,6 +14,13 @@
 //     (latency + contention + trace), tracking the cost of instrumentation;
 //     the sim results must stay bit-identical either way. Median of kHotRuns
 //     runs, interleaved with the obs-off runs so host drift hits both alike.
+//   - switches_per_access: fiber switches (resumes) per instrumented access
+//     in the hot run — how often fibers leapfrog each other there.
+//   - ns_per_switch: host nanoseconds per fiber switch, measured by a
+//     16-fiber charge loop in which every charge switches fibers (all clocks
+//     tie, so each charge passes the next fiber's clock). Median of kHotRuns.
+//     With switches_per_access this splits wall_ns_per_access into the
+//     engine's switch share and everything else.
 //   - simd_speedup_*: scalar over SIMD in-node search time, the median of
 //     kSearchRuns interleaved scalar/SIMD timing pairs.
 // The JSON artifact also carries every per-run value behind each median.
@@ -27,6 +34,7 @@
 
 #include "fig_common.hpp"
 #include "obs/json.hpp"
+#include "sim/engine.hpp"
 #include "trees/node/simd_search.hpp"
 
 using namespace euno;
@@ -83,6 +91,27 @@ double time_search_ns(SearchKernel kern, const std::uint64_t* data, int n,
   const auto t1 = std::chrono::steady_clock::now();
   *sink += acc;
   return wall_ms(t0, t1) * 1e6 / kIters;
+}
+
+// ns per fiber switch: 16 fibers charge 1 cycle `charges` times each. All
+// clocks tie at every step, so each charge passes the next fiber's clock and
+// hands off to it — the loop is switch-bound by construction.
+double time_switch_ns(std::uint64_t charges) {
+  sim::MachineConfig cfg;
+  cfg.arena_bytes = 1 << 20;
+  sim::Simulation sim(cfg);
+  constexpr int kFibers = 16;
+  for (int core = 0; core < kFibers; ++core) {
+    sim.spawn(core, [&sim, charges](int) {
+      for (std::uint64_t i = 0; i < charges; ++i) sim.charge(1);
+    });
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  sim.run();
+  const auto t1 = std::chrono::steady_clock::now();
+  return sim.switches() > 0 ? wall_ms(t0, t1) * 1e6 /
+                                  static_cast<double>(sim.switches())
+                            : 0;
 }
 
 double per_access_ns(double ms, std::uint64_t accesses) {
@@ -175,6 +204,19 @@ int main(int argc, char** argv) {
   const double obs_ns_per_access = median(obs_ns_runs);
   const double obs_overhead_pct =
       ns_per_access > 0 ? 100.0 * (obs_ns_per_access / ns_per_access - 1.0) : 0;
+  const double switches_per_access =
+      hr.mem_accesses > 0 ? static_cast<double>(hr.sim_switches) /
+                                static_cast<double>(hr.mem_accesses)
+                          : 0;
+
+  // --- Part 1.25: the engine's fiber switch alone ---
+  const std::uint64_t switch_charges = args.quick ? 50'000 : 200'000;
+  (void)time_switch_ns(switch_charges / 10);  // warm-up (stack pool, caches)
+  std::vector<double> switch_ns_runs;
+  for (int r = 0; r < kHotRuns; ++r) {
+    switch_ns_runs.push_back(time_switch_ns(switch_charges));
+  }
+  const double ns_per_switch = median(switch_ns_runs);
 
   // --- Part 1.5: in-node search kernels, scalar vs dispatched SIMD ---
   // Fanout-16 sorted separators / records — the shape every descent level
@@ -254,6 +296,9 @@ int main(int argc, char** argv) {
   table.add_row({"obs_overhead_pct", stats::Table::num(obs_overhead_pct, 1)});
   table.add_row({"obs_bit_identical", obs_identical ? "yes" : "NO"});
   table.add_row({"hot_run_accesses", stats::Table::num(hr.mem_accesses)});
+  table.add_row({"switches_per_access",
+                 stats::Table::num(switches_per_access, 3)});
+  table.add_row({"ns_per_switch", stats::Table::num(ns_per_switch, 1)});
   table.add_row({"hot_run_ms", stats::Table::num(hot_ms, 1)});
   table.add_row({"simd_kernel", simd_k.name});
   table.add_row({"count_le_scalar_ns", stats::Table::num(count_le_scalar_ns, 2)});
@@ -288,6 +333,10 @@ int main(int argc, char** argv) {
     w.kv("obs_overhead_pct", obs_overhead_pct, 2);
     w.kv("obs_bit_identical", obs_identical);
     w.kv("hot_run_accesses", hr.mem_accesses);
+    w.kv("hot_run_switches", hr.sim_switches);
+    w.kv("switches_per_access", switches_per_access, 4);
+    w.kv("ns_per_switch", ns_per_switch, 2);
+    kv_runs(w, "ns_per_switch_runs", switch_ns_runs, 2);
     w.kv("hot_run_ms", hot_ms, 2);
     w.kv("simd_kernel", simd_k.name);
     w.kv("search_fanout", kSearchFanout);

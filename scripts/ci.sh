@@ -44,6 +44,11 @@
 # prefix-slice equivalence cases, and the fig_scan end-to-end smokes in both
 # domains). TSan audits the concurrent suffix-compare/box-swap handshakes;
 # ASan turns an early box free under a concurrent reader into a hard fault.
+# The asan and ubsan jobs also run the `sim` label (the engine battery:
+# interleaving vs a linear-scan reference, HTM model, engine properties), so
+# both fiber-switch primitives are covered: ASan builds switch with
+# swapcontext plus the ASan fiber annotations, UBSan builds with the asm
+# register-only switch the default build uses.
 # The ubsan job rebuilds with -DEUNO_UBSAN=ON (UBSan alone, no ASan shadow)
 # and runs the `conformance` label — the per-tree suites plus the
 # registry-driven sweep over every registered structure, where layout-layer
@@ -82,12 +87,12 @@ case "$job" in
   asan)
     cmake -B build-asan -S . -DEUNO_ASAN=ON
     cmake --build build-asan -j
-    ctest --test-dir build-asan --output-on-failure -L "fault|store|strkey"
+    ctest --test-dir build-asan --output-on-failure -L "fault|store|strkey|sim"
     ;;
   ubsan)
     cmake -B build-ubsan -S . -DEUNO_UBSAN=ON
     cmake --build build-ubsan -j
-    ctest --test-dir build-ubsan --output-on-failure -L "conformance|fault|lin"
+    ctest --test-dir build-ubsan --output-on-failure -L "conformance|fault|lin|sim"
     ;;
   *)
     echo "usage: $0 [default|tsan|asan|ubsan]" >&2

@@ -34,7 +34,6 @@
 //   void pause(std::uint32_t n), void spin_pause()
 //       wait n units / one spin-loop iteration.
 //   void note_event(TraceCode, std::uint8_t, std::uint8_t)
-//   void flush_trace()                   (optional; default no-op)
 #pragma once
 
 #include <algorithm>
@@ -115,7 +114,6 @@ class RetryLoop {
                                     (static_cast<std::uint64_t>(id) + 1)) {}
 
   void on_fallback_acquired() {}
-  void flush_trace() {}
 
  private:
   Derived& d() { return static_cast<Derived&>(*this); }
@@ -251,7 +249,6 @@ class RetryLoop {
         if (d().htm_attempt(lock, subscribe, body, r)) {
           st.commits++;
           d().note_event(TraceCode::kTxCommit, site_arg, 0);
-          d().flush_trace();  // transaction boundary
           if (policy.starvation_threshold != 0) starved_ops_ = 0;
           health_note(lock, policy, st, out.aborts + 1, 1);
           out.committed = true;
@@ -266,7 +263,6 @@ class RetryLoop {
         out.aborts++;
         d().note_event(TraceCode::kAbort, static_cast<std::uint8_t>(r.reason),
                        static_cast<std::uint8_t>(r.conflict));
-        d().flush_trace();  // transaction boundary
         // The attempt never really ran: wait for the release, free of charge.
         if (r.reason == htm::AbortReason::kLockBusy) continue;
         if (--left.of(r.reason) < 0) {
@@ -371,7 +367,6 @@ class RetryLoop {
     if (deadline_fresh_ && d().now() >= deadline_) {
       st.deadline_exceeded++;
       d().note_event(TraceCode::kDeadlineExceeded, 0, 0);
-      d().flush_trace();
       throw DeadlineExceeded{};
     }
   }

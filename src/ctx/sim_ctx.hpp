@@ -240,8 +240,6 @@ class SimCtx : public RetryLoop<SimCtx> {
   /// Waiting is measured on the core clock itself, polls included.
   std::uint64_t wait_clock() const { return now(); }
   void pause(std::uint32_t n) { sim_->charge(n); }
-  /// Drain this core's event ring at transaction boundaries.
-  void flush_trace() { sim_->flush_trace(); }
 
   sim::Simulation* sim_;
   int core_;

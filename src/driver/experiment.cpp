@@ -227,18 +227,40 @@ workload::OpenLoopSpec make_openloop(const ExperimentSpec& spec,
   return ol;
 }
 
-/// One client's issue loop. `idle_until(t)` blocks (sim: charges cycles;
-/// native: spins) until the context clock reaches t — how a client waits for
-/// its next scheduled arrival. Returns the number of *completed* ops (the
+/// One client's generators. Building the op stream includes the Zipfian ζ
+/// precompute (about 20 ms cold at 1 Mi keys), so every client's streams are
+/// built before a run reads its clock origin: an open-loop schedule must not
+/// start running while its generators are still being set up.
+struct ClientStreams {
+  workload::DriftingOpStream ops;
+  workload::ArrivalStream arrivals;
+};
+
+std::vector<ClientStreams> make_client_streams(
+    const ExperimentSpec& spec, const workload::OpenLoopSpec& ol) {
+  std::vector<ClientStreams> clients;
+  clients.reserve(static_cast<std::size_t>(spec.threads));
+  for (int t = 0; t < spec.threads; ++t) {
+    clients.push_back(ClientStreams{
+        workload::DriftingOpStream(spec.workload, t, spec.store.drift_to,
+                                   spec.ops_per_thread),
+        workload::ArrivalStream(ol, t)});
+  }
+  return clients;
+}
+
+/// One client's issue loop over its pre-built streams, with arrivals counted
+/// from `origin`. `idle_until(t)` blocks (sim: charges cycles; native:
+/// spins) until the context clock reaches t — how a client waits for its
+/// next scheduled arrival. Returns the number of *completed* ops (the
 /// goodput numerator); sheds and deadline misses complete nothing.
 template <class Ctx, class IdleUntil, class Exec>
 std::uint64_t run_store_ops(Ctx& c, const ExperimentSpec& spec,
-                            const workload::OpenLoopSpec& ol, int t,
-                            std::uint64_t origin, IdleUntil idle_until,
-                            Exec exec) {
-  workload::DriftingOpStream stream(spec.workload, t, spec.store.drift_to,
-                                    spec.ops_per_thread);
-  workload::ArrivalStream arrivals(ol, t, origin);
+                            ClientStreams& client, std::uint64_t origin,
+                            IdleUntil idle_until, Exec exec) {
+  workload::DriftingOpStream& stream = client.ops;
+  workload::ArrivalStream& arrivals = client.arrivals;
+  arrivals.start_at(origin);
   const bool open_loop = spec.store.open_loop();
   obs::ThreadObs* tobs = c.observer();
   std::uint64_t completed = 0;
@@ -395,7 +417,8 @@ ExperimentResult run_store_sim(const ExperimentSpec& spec) {
     preload_store(st, setup, spec.workload, spec.preload, spec.preload_stride);
   }
 
-  const workload::OpenLoopSpec ol = make_openloop(spec, rt.clock_hz);
+  std::vector<ClientStreams> clients =
+      make_client_streams(spec, make_openloop(spec, rt.clock_hz));
   std::vector<ctx::SiteStats> stats(static_cast<std::size_t>(spec.threads));
   std::vector<std::uint64_t> completed(
       static_cast<std::size_t>(spec.threads), 0);
@@ -410,7 +433,7 @@ ExperimentResult run_store_sim(const ExperimentSpec& spec) {
       StoreExec<ctx::SimCtx, store::ShardedStore<ctx::SimCtx>> exec(
           st, spec, ks ? &*ks : nullptr);
       completed[static_cast<std::size_t>(t)] = run_store_ops(
-          c, spec, ol, t, /*origin=*/0,
+          c, spec, clients[static_cast<std::size_t>(t)], /*origin=*/0,
           [&](std::uint64_t target) {
             const std::uint64_t now = simulation.clock_of(core);
             if (target > now) simulation.charge(target - now);
@@ -432,6 +455,7 @@ ExperimentResult run_store_sim(const ExperimentSpec& spec) {
   for (const auto n : completed) total_completed += n;
   fold_store_totals(st.accumulate(), total_completed, seconds, &r);
 
+  r.sim_switches = simulation.switches();
   std::uint64_t instr = 0, wasted = 0, clock_sum = 0;
   for (int t = 0; t < spec.threads; ++t) {
     instr += simulation.counters(t).instructions;
@@ -526,7 +550,8 @@ ExperimentResult run_store_native(const ExperimentSpec& spec) {
   std::vector<ctx::SiteStats> stats(static_cast<std::size_t>(spec.threads));
   std::vector<std::uint64_t> completed(
       static_cast<std::size_t>(spec.threads), 0);
-  const workload::OpenLoopSpec ol = make_openloop(spec, rt.clock_hz);
+  std::vector<ClientStreams> clients =
+      make_client_streams(spec, make_openloop(spec, rt.clock_hz));
   const std::uint64_t origin = util::monotonic_ns();
   if (perf) perf->start();
   const auto t0 = std::chrono::steady_clock::now();
@@ -545,7 +570,7 @@ ExperimentResult run_store_native(const ExperimentSpec& spec) {
       StoreExec<ctx::NativeCtx, store::ShardedStore<ctx::NativeCtx>> exec(
           st, spec, ks ? &*ks : nullptr);
       completed[static_cast<std::size_t>(t)] = run_store_ops(
-          c, spec, ol, t, origin,
+          c, spec, clients[static_cast<std::size_t>(t)], origin,
           [](std::uint64_t target) {
             while (util::monotonic_ns() < target) cpu_relax();
           },
@@ -647,6 +672,7 @@ ExperimentResult run_sim_with(const ExperimentSpec& spec, MakeTree make,
   r.aborts_per_op =
       static_cast<double>(r.aborts_total) / static_cast<double>(r.ops);
 
+  r.sim_switches = simulation.switches();
   std::uint64_t instr = 0, wasted = 0, clock_sum = 0;
   for (int t = 0; t < spec.threads; ++t) {
     instr += simulation.counters(t).instructions;

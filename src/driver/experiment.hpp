@@ -111,6 +111,7 @@ struct ExperimentResult {
   std::uint64_t fault_capacity_phases = 0;
   // Cost accounting.
   std::uint64_t mem_accesses = 0;  // instrumented accesses (sim engine only)
+  std::uint64_t sim_switches = 0;  // fiber resumes (sim engine only; host cost)
   double instructions_per_op = 0;
   double wasted_cycle_frac = 0;  // cycles in aborted attempts / total cycles
   // Memory (bytes live at end of run, by the §5.7 classes).

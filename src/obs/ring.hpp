@@ -17,12 +17,11 @@
 // not encoded: rings are per-core by construction and decode() stamps it
 // back in.
 //
-// The inline buffer spills into a growable byte vector when full, and
-// flush() moves any buffered tail there explicitly — the engine flushes at
-// every scheduler switch and SimCtx flushes at transaction boundaries, so
-// the inline buffer never holds events across a core switch (per-core
-// streams stay contiguous and clock-ordered; see Simulation::trace_events
-// for the cross-core merge). The delta encoding survives even a
+// The inline buffer spills into a growable byte vector when full. A ring is
+// only ever appended by its own core and decode() reads the spill before the
+// inline tail, so a per-core stream stays in recording order with no
+// flushing at core switches (see Simulation::trace_events for the
+// cross-core merge). The delta encoding survives even a
 // non-monotonic clock (deltas are mod-2^64 and decode re-accumulates), it
 // just costs a long varint.
 #pragma once
@@ -62,8 +61,7 @@ class EventRing {
     ++count_;
   }
 
-  /// Move the inline buffer's tail into the spill vector. Cheap when empty;
-  /// called at scheduler switches and transaction boundaries.
+  /// Move the inline buffer's tail into the spill vector. Cheap when empty.
   void flush() {
     if (size_ == 0) return;
     spill_.insert(spill_.end(), buf_, buf_ + size_);

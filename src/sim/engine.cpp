@@ -1,13 +1,5 @@
-// Fiber switching jumps between stacks with _setjmp/_longjmp; the fortified
-// __longjmp_chk rejects cross-stack jumps, so force the plain symbols in this
-// translation unit regardless of toolchain defaults.
-#ifdef _FORTIFY_SOURCE
-#undef _FORTIFY_SOURCE
-#endif
-
 #include "sim/engine.hpp"
 
-#include <setjmp.h>
 #include <sys/mman.h>
 
 #include <algorithm>
@@ -17,7 +9,7 @@
 // Under ASan every stack switch must be bracketed with
 // __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber so the
 // fake-stack machinery and shadow poisoning follow the fiber, not the OS
-// thread. engine.hpp already forces the ucontext path for sanitizer builds.
+// thread. engine.hpp already selects swapcontext for sanitizer builds.
 #if defined(__SANITIZE_ADDRESS__)
 #define EUNO_SIM_ASAN_FIBERS 1
 #elif defined(__has_feature)
@@ -34,6 +26,70 @@
 #else
 #define EUNO_ASAN_START_SWITCH(save, bottom, size) ((void)0)
 #define EUNO_ASAN_FINISH_SWITCH(fake, bottom, size) ((void)0)
+#endif
+
+#if defined(EUNO_SIM_ASM_SWITCH)
+// euno_sim_switch(save_sp, load_sp): push the SysV callee-saved registers,
+// MXCSR and the x87 control word onto the running stack, store rsp into
+// *save_sp, load load_sp, pop the same state from the other stack and return
+// into it. Caller-saved registers need no saving: the compiler treats the
+// call as an ordinary call that clobbers them.
+//
+// euno_sim_fiber_entry is where a fresh fiber's first frame returns to
+// (Simulation::spawn builds that frame): it calls r14(r12, r13) and never
+// returns. Its CFI marks the bottom of the fiber stack for unwinders.
+extern "C" {
+__attribute__((visibility("hidden"))) void euno_sim_switch(void** save_sp,
+                                                           void* load_sp);
+}
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl euno_sim_switch
+  .hidden euno_sim_switch
+  .type euno_sim_switch, @function
+euno_sim_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size euno_sim_switch, .-euno_sim_switch
+
+  .p2align 4
+  .globl euno_sim_fiber_entry
+  .hidden euno_sim_fiber_entry
+  .type euno_sim_fiber_entry, @function
+euno_sim_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  movq %r13, %rsi
+  callq *%r14
+  ud2
+  .cfi_endproc
+  .size euno_sim_fiber_entry, .-euno_sim_fiber_entry
+  .popsection
+)");
+extern "C" {
+__attribute__((visibility("hidden"))) void euno_sim_fiber_entry();
+}
 #endif
 
 namespace euno::sim {
@@ -86,18 +142,39 @@ StackPool& stack_pool() {
   return pool;
 }
 
+#if defined(EUNO_SIM_ASM_SWITCH)
+void fiber_entry(Simulation* simulation, std::uint64_t index) {
+  simulation->fiber_main(static_cast<std::uint32_t>(index));
+}
+#else
 // makecontext only passes ints; stash the simulation + fiber index through
 // a pair of 32-bit halves of `this`.
-void trampoline(unsigned hi, unsigned lo, unsigned index) {
+void fiber_entry(unsigned hi, unsigned lo, unsigned index) {
   auto bits = (static_cast<std::uint64_t>(hi) << 32) | lo;
   auto* simulation = reinterpret_cast<Simulation*>(bits);
-  simulation->fiber_main(static_cast<int>(index));
+  simulation->fiber_main(index);
 }
+#endif
 }  // namespace
 
 Simulation*& current_simulation() {
   static thread_local Simulation* sim = nullptr;
   return sim;
+}
+
+inline void Simulation::switch_stacks(SwitchContext& from,
+                                      [[maybe_unused]] void** from_fake,
+                                      SwitchContext& to,
+                                      [[maybe_unused]] const void* to_bottom,
+                                      [[maybe_unused]] std::size_t to_size) {
+#if defined(EUNO_SIM_ASM_SWITCH)
+  euno_sim_switch(&from.sp, to.sp);
+#else
+  EUNO_ASAN_START_SWITCH(from_fake, to_bottom, to_size);
+  swapcontext(&from.uc, &to.uc);
+  EUNO_ASAN_FINISH_SWITCH(from_fake != nullptr ? *from_fake : nullptr,
+                          nullptr, nullptr);
+#endif
 }
 
 Simulation::Simulation(MachineConfig cfg)
@@ -125,20 +202,45 @@ void Simulation::spawn(int core, std::function<void(int)> body) {
   }
   auto fiber = std::make_unique<Fiber>();
   fiber->core = core;
+  fiber->index = static_cast<std::uint32_t>(fibers_.size());
   fiber->body = std::move(body);
 
   void* base = stack_pool().acquire();
   fiber->stack = static_cast<char*>(base) + kGuardBytes;
   fiber->stack_bytes = kStackBytes;
 
-  EUNO_ASSERT(getcontext(&fiber->uctx) == 0);
-  fiber->uctx.uc_stack.ss_sp = fiber->stack;
-  fiber->uctx.uc_stack.ss_size = fiber->stack_bytes;
-  fiber->uctx.uc_link = &main_uctx_;
+#if defined(EUNO_SIM_ASM_SWITCH)
+  // First frame, laid out as euno_sim_switch pops it: FP control state,
+  // r15, r14 = entry function, r13 = index, r12 = this, rbx, rbp = 0 (ends
+  // frame-pointer chains), return address = euno_sim_fiber_entry. After the
+  // ret, rsp is 16-byte aligned, so the entry's call sees the SysV alignment.
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpucw = 0;
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fpucw));
+  auto* top = reinterpret_cast<std::uint64_t*>(
+      static_cast<char*>(fiber->stack) + fiber->stack_bytes);
+  std::uint64_t* frame = top - 10;
+  frame[0] = mxcsr | static_cast<std::uint64_t>(fpucw) << 32;
+  frame[1] = 0;
+  frame[2] = reinterpret_cast<std::uint64_t>(&fiber_entry);
+  frame[3] = fiber->index;
+  frame[4] = reinterpret_cast<std::uint64_t>(this);
+  frame[5] = 0;
+  frame[6] = 0;
+  frame[7] = reinterpret_cast<std::uint64_t>(&euno_sim_fiber_entry);
+  frame[8] = frame[9] = 0;
+  fiber->ctx.sp = frame;
+#else
+  ucontext_t& uc = fiber->ctx.uc;
+  EUNO_ASSERT(getcontext(&uc) == 0);
+  uc.uc_stack.ss_sp = fiber->stack;
+  uc.uc_stack.ss_size = fiber->stack_bytes;
+  uc.uc_link = nullptr;  // fiber_main never returns
   const auto bits = reinterpret_cast<std::uint64_t>(this);
-  makecontext(&fiber->uctx, reinterpret_cast<void (*)()>(trampoline), 3,
+  makecontext(&uc, reinterpret_cast<void (*)()>(fiber_entry), 3,
               static_cast<unsigned>(bits >> 32), static_cast<unsigned>(bits),
-              static_cast<unsigned>(fibers_.size()));
+              static_cast<unsigned>(fiber->index));
+#endif
   if (core_fiber_.size() <= static_cast<std::size_t>(core)) {
     core_fiber_.resize(static_cast<std::size_t>(core) + 1, nullptr);
   }
@@ -146,12 +248,20 @@ void Simulation::spawn(int core, std::function<void(int)> body) {
   fibers_.push_back(std::move(fiber));
 }
 
-void Simulation::fiber_main(int index) {
-  Fiber& f = *fibers_[static_cast<std::size_t>(index)];
-  // First time on this fiber's stack: complete the switch resume() started,
-  // learning the scheduler stack's bounds for the switches back.
-  EUNO_ASAN_FINISH_SWITCH(f.fake_stack, &sched_stack_bottom_,
-                          &sched_stack_size_);
+void Simulation::fiber_main(std::uint32_t index) {
+  Fiber& f = *fibers_[index];
+  // First time on this fiber's stack: complete the switch that started it.
+  // The run's first entry comes from the run loop, which is how fibers learn
+  // the scheduler stack's bounds for the switch back.
+  [[maybe_unused]] const void* from_bottom = nullptr;
+  [[maybe_unused]] std::size_t from_size = 0;
+  EUNO_ASAN_FINISH_SWITCH(nullptr, &from_bottom, &from_size);
+#if defined(EUNO_SIM_ASAN_FIBERS)
+  if (sched_stack_bottom_ == nullptr) {
+    sched_stack_bottom_ = from_bottom;
+    sched_stack_size_ = from_size;
+  }
+#endif
   try {
     f.body(f.core);
   } catch (const TxAbortException&) {
@@ -163,32 +273,39 @@ void Simulation::fiber_main(int index) {
   }
   EUNO_ASSERT_MSG(!htm_->in_tx(f.core), "fiber finished with an open transaction");
   f.done = true;
-#if defined(EUNO_SIM_FAST_SWITCH)
-  // Hand control back to the scheduler's _setjmp in resume(); the uc_link
-  // below is only the ucontext fallback's exit path.
-  ::_longjmp(sched_jb_, 1);
-#endif
-  // uc_link returns to main_uctx_ when fiber_main returns. A null save slot
-  // tells ASan this fiber's fake stack dies with it.
-  EUNO_ASAN_START_SWITCH(nullptr, sched_stack_bottom_, sched_stack_size_);
+  // Back to the run loop for good (a null fake-stack slot tells ASan this
+  // fiber's fake stack dies with it).
+  switch_stacks(f.ctx, nullptr, sched_ctx_, sched_stack_bottom_,
+                sched_stack_size_);
+  EUNO_ASSERT_MSG(false, "finished fiber resumed");
+}
+
+void Simulation::begin_slice(Fiber& f) {
+  current_ = &f;
+  ++switches_;
+  obs::EventRing* ring =
+      trace_on_ ? &trace_buf_[static_cast<std::size_t>(f.core)] : nullptr;
+  active_ring_ = ring;
+  if (ring != nullptr) [[unlikely]] {
+    ring->append(f.clock, static_cast<std::uint8_t>(obs::EventCode::kRunBegin),
+                 0, 0);
+  }
+}
+
+void Simulation::end_slice(Fiber& f) {
+  if (active_ring_ != nullptr) [[unlikely]] {
+    active_ring_->append(f.clock,
+                         static_cast<std::uint8_t>(obs::EventCode::kRunEnd), 0,
+                         0);
+  }
+  active_ring_ = nullptr;
 }
 
 void Simulation::resume(Fiber& f) {
-#if defined(EUNO_SIM_FAST_SWITCH)
-  if (_setjmp(sched_jb_) == 0) {
-    if (!f.started) {
-      f.started = true;
-      setcontext(&f.uctx);  // first entry onto the fiber's own stack
-      EUNO_ASSERT_MSG(false, "setcontext returned");
-    }
-    ::_longjmp(f.jb, 1);
-  }
-#else
-  f.started = true;
-  EUNO_ASAN_START_SWITCH(&sched_fake_stack_, f.stack, f.stack_bytes);
-  swapcontext(&main_uctx_, &f.uctx);
-  EUNO_ASAN_FINISH_SWITCH(sched_fake_stack_, nullptr, nullptr);
-#endif
+  begin_slice(f);
+  switch_stacks(sched_ctx_, &sched_fake_stack_, f.ctx, f.stack, f.stack_bytes);
+  end_slice(*current_);  // the fiber that gave control back
+  current_ = nullptr;
 }
 
 void Simulation::run() {
@@ -196,8 +313,10 @@ void Simulation::run() {
   running_ = true;
   Simulation* prev = current_simulation();
   current_simulation() = this;
+  sched_stack_bottom_ = nullptr;  // relearned at the first fiber entry
 
-  if (sched_.policy.deterministic_default()) {
+  direct_handoff_ = sched_.policy.deterministic_default();
+  if (direct_handoff_) {
     run_deterministic_loop();
   } else {
     run_scheduled_loop();
@@ -218,34 +337,16 @@ void Simulation::run_deterministic_loop() {
   }
   std::make_heap(runnable_.begin(), runnable_.end(), std::greater<>{});
 
+  // Each resume returns when a fiber finishes; yields in between hand off
+  // fiber to fiber (yield_to_scheduler) and keep the heap current.
   while (!runnable_.empty()) {
     std::pop_heap(runnable_.begin(), runnable_.end(), std::greater<>{});
-    const std::uint32_t index = runnable_.back().index;
+    Fiber& f = *fibers_[runnable_.back().index];
     runnable_.pop_back();
-    Fiber& f = *fibers_[index];
     // The resumed fiber may run ahead until it passes the next-smallest
     // runnable clock (the new heap top, now that `f` is out of the heap).
     yield_threshold_ = runnable_.empty() ? ~0ull : runnable_.front().clock;
-    current_ = &f;
-    obs::EventRing* ring =
-        trace_on_ ? &trace_buf_[static_cast<std::size_t>(f.core)] : nullptr;
-    active_ring_ = ring;
-    if (ring != nullptr) [[unlikely]] {
-      ring->append(f.clock,
-                   static_cast<std::uint8_t>(obs::EventCode::kRunBegin), 0, 0);
-    }
     resume(f);
-    current_ = nullptr;
-    active_ring_ = nullptr;
-    if (ring != nullptr) [[unlikely]] {
-      ring->append(f.clock, static_cast<std::uint8_t>(obs::EventCode::kRunEnd),
-                   0, 0);
-      ring->flush();
-    }
-    if (!f.done) {
-      runnable_.push_back(RunnableEntry{f.clock, index});
-      std::push_heap(runnable_.begin(), runnable_.end(), std::greater<>{});
-    }
   }
 }
 
@@ -275,22 +376,7 @@ void Simulation::run_scheduled_loop() {
     runnable.erase(runnable.begin() + static_cast<std::ptrdiff_t>(pos));
     Fiber& f = *fibers_[index];
     yield_threshold_ = 0;  // any charge returns control: access granularity
-    current_ = &f;
-    obs::EventRing* ring =
-        trace_on_ ? &trace_buf_[static_cast<std::size_t>(f.core)] : nullptr;
-    active_ring_ = ring;
-    if (ring != nullptr) [[unlikely]] {
-      ring->append(f.clock,
-                   static_cast<std::uint8_t>(obs::EventCode::kRunBegin), 0, 0);
-    }
     resume(f);
-    current_ = nullptr;
-    active_ring_ = nullptr;
-    if (ring != nullptr) [[unlikely]] {
-      ring->append(f.clock, static_cast<std::uint8_t>(obs::EventCode::kRunEnd),
-                   0, 0);
-      ring->flush();
-    }
     last = index;
     if (!f.done) {
       runnable.insert(std::lower_bound(runnable.begin(), runnable.end(), index),
@@ -407,14 +493,31 @@ void Simulation::sched_tx_begin_slow(int core) {
 void Simulation::yield_to_scheduler() {
   Fiber* f = current_;
   EUNO_ASSERT(f != nullptr);
-#if defined(EUNO_SIM_FAST_SWITCH)
-  if (_setjmp(f->jb) == 0) ::_longjmp(sched_jb_, 1);
-#else
-  EUNO_ASAN_START_SWITCH(&f->fake_stack, sched_stack_bottom_,
-                         sched_stack_size_);
-  swapcontext(&f->uctx, &main_uctx_);
-  EUNO_ASAN_FINISH_SWITCH(f->fake_stack, nullptr, nullptr);
-#endif
+  if (!direct_handoff_) {
+    switch_stacks(f->ctx, &f->fake_stack, sched_ctx_, sched_stack_bottom_,
+                  sched_stack_size_);
+    return;
+  }
+  // Direct handoff. `f` passed the yield threshold, i.e. the heap top's
+  // clock, so the top is strictly smaller in (clock, index) and is the
+  // fiber the scheduler would pick next: swap `f` in for it with one
+  // sift-down from the root, and switch straight to it.
+  Fiber& next = *fibers_[runnable_.front().index];
+  const RunnableEntry self{f->clock, f->index};
+  const std::size_t n = runnable_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && runnable_[child] > runnable_[child + 1]) ++child;
+    if (!(self > runnable_[child])) break;
+    runnable_[hole] = runnable_[child];
+    hole = child;
+  }
+  runnable_[hole] = self;
+  yield_threshold_ = runnable_.front().clock;
+  end_slice(*f);
+  begin_slice(next);
+  switch_stacks(f->ctx, &f->fake_stack, next.ctx, next.stack,
+                next.stack_bytes);
 }
 
 void Simulation::spin_wait() {

@@ -1,30 +1,39 @@
 // The simulated-multicore execution engine.
 //
-// Each simulated core runs one fiber (ucontext stack; see "Context switching"
-// below). A discrete-event scheduler always resumes the fiber with the
-// smallest simulated clock; a fiber keeps running until its clock passes the
-// next-smallest runnable clock, at which point it yields back. This realizes
-// a globally consistent interleaving at instrumented-access granularity,
-// deterministically, on a single OS thread.
+// Each simulated core runs one fiber (its own stack; see "Context switching"
+// below). A discrete-event scheduler always runs the fiber with the smallest
+// simulated clock; a fiber keeps running until its clock passes the
+// next-smallest runnable clock, at which point it hands the CPU to that
+// fiber. This realizes a globally consistent interleaving at
+// instrumented-access granularity, deterministically, on a single OS thread.
 //
 // Simulated time advances only through charge(): every instrumented memory
 // access, atomic, allocation and explicit compute charge moves the current
 // fiber's clock by the cost model's cycles. Throughput for an experiment is
 // completed-ops / max core clock.
 //
-// Context switching: fiber stacks are created with makecontext and entered
-// the first time with setcontext, but every subsequent suspend/resume uses
-// _setjmp/_longjmp, which on Linux never touches the signal mask — unlike
-// swapcontext, whose two rt_sigprocmask syscalls per switch dominated the
-// simulator's host-side cost at high contention (fibers leapfrog roughly
-// every access there). Under ThreadSanitizer the engine falls back to pure
-// swapcontext, which TSan intercepts and understands.
-//
 // Scheduling structures: runnable fibers sit in a binary min-heap ordered by
-// (clock, spawn index); the running fiber is kept out of the heap, so a
-// resume is pop-min + peek (the peek is the yield threshold) instead of two
-// O(#fibers) scans. Ties break toward the lower spawn index, matching the
-// linear-scan scheduler this replaced bit for bit.
+// (clock, spawn index); the running fiber is kept out of the heap, and the
+// heap top's clock is the yield threshold. Ties break toward the lower spawn
+// index, matching the linear-scan scheduler this replaced bit for bit.
+//
+// Direct handoff (deterministic policy): a fiber that crosses the threshold
+// swaps itself into the heap top with one replace-top sift, takes the new
+// top's clock as the next threshold, and switches straight to the fiber it
+// displaced — one stack switch per yield, no trip through a scheduler stack.
+// The run loop only starts the first fiber and takes control back when a
+// fiber finishes. The exploration policies (schedule.hpp) keep a decision
+// loop on the scheduler stack: every yield bounces through it.
+//
+// Context switching has two primitives under that one algorithm:
+//   - x86-64 without ASan/TSan: a register-only switch (engine.cpp) that
+//     saves rbx, rbp, r12-r15, rsp, MXCSR and the x87 control word, and a
+//     hand-built first frame for each fiber. No syscalls, no signal mask.
+//     A CET shadow stack is not supported on this path (the switch returns
+//     into another stack's frame).
+//   - sanitizer builds and other targets: swapcontext, bracketed under ASan
+//     by __sanitizer_start/finish_switch_fiber so fake stacks and shadow
+//     poisoning follow the fiber. TSan intercepts swapcontext itself.
 //
 // INVARIANT (exception safety across fibers): all fibers share one OS thread
 // and therefore one __cxa_eh_globals. Code running inside a fiber must never
@@ -32,15 +41,12 @@
 // exception is in flight or while executing a catch clause whose exception
 // is still alive — interleaved catch lifetimes across fibers corrupt the
 // shared caught-exception stack. Catch TxAbortException, copy its 3-byte
-// result, leave the handler, then do any charged work. (The same invariant
-// covers _longjmp: no jump ever crosses a live exception.)
+// result, leave the handler, then do any charged work.
 #pragma once
 
-#include <csetjmp>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <ucontext.h>
 #include <vector>
 
 #include "obs/contention.hpp"
@@ -54,20 +60,19 @@
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
-// Sanitizers cannot follow the raw _setjmp/_longjmp stack switches: TSan
-// loses the happens-before graph, and ASan's longjmp interceptor tries to
-// unpoison "the" stack across two unrelated ones. Under either sanitizer we
-// fall back to ucontext switching (and, for ASan, annotate every switch with
-// __sanitizer_start/finish_switch_fiber — see engine.cpp).
+// ASan and TSan cannot follow a hand-rolled stack switch, so sanitizer
+// builds (and non-x86-64 targets) switch with swapcontext instead.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define EUNO_SIM_UCONTEXT_ONLY 1
+#define EUNO_SIM_SANITIZED 1
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define EUNO_SIM_UCONTEXT_ONLY 1
+#define EUNO_SIM_SANITIZED 1
 #endif
 #endif
-#if !defined(EUNO_SIM_UCONTEXT_ONLY) && defined(__linux__)
-#define EUNO_SIM_FAST_SWITCH 1
+#if defined(__x86_64__) && !defined(EUNO_SIM_SANITIZED)
+#define EUNO_SIM_ASM_SWITCH 1
+#else
+#include <ucontext.h>
 #endif
 
 namespace euno::sim {
@@ -105,7 +110,7 @@ class Simulation {
 
   /// Advance the current fiber's clock; may transfer control to another
   /// fiber (and return later). Header-inline: the common case is "add and
-  /// keep running"; only crossing the yield threshold enters the scheduler.
+  /// keep running"; only crossing the yield threshold switches fibers.
   void charge(std::uint64_t cycles) {
     Fiber* f = current_;
     if (f == nullptr) return;  // setup/teardown outside the simulation is free
@@ -197,11 +202,6 @@ class Simulation {
       active_ring_->append(current_->clock, code, a, b);
     }
   }
-  /// Flush the running core's event ring (SimCtx calls this at transaction
-  /// boundaries; the run loops flush at every scheduler switch).
-  void flush_trace() {
-    if (active_ring_ != nullptr) [[unlikely]] active_ring_->flush();
-  }
   /// All recorded events merged across cores, ordered by clock (stable: a
   /// core's own events keep their recording order, equal clocks keep core
   /// order — bit-identical to the concat+stable_sort this replaced).
@@ -223,8 +223,8 @@ class Simulation {
   // ---- schedule exploration (src/sim/schedule.hpp, src/check) ----
 
   /// Install a schedule policy. Must be called before run(). The default
-  /// policy keeps the optimized deterministic heap scheduler; anything else
-  /// routes run() through the generic decision loop.
+  /// policy keeps the direct-handoff heap scheduler; anything else routes
+  /// run() through the generic decision loop.
   void set_schedule_policy(SchedulePolicy p);
   const SchedulePolicy& schedule_policy() const { return sched_.policy; }
 
@@ -250,20 +250,34 @@ class Simulation {
     if (sched_.hooks_armed) [[unlikely]] sched_tx_begin_slow(core);
   }
 
-  /// Internal: fiber trampoline target.
-  void fiber_main(int index);
+  /// Fiber resumes so far, first entries included: one per run slice (one
+  /// kRunBegin trace event each). A host-cost counter — no simulated
+  /// quantity depends on it.
+  std::uint64_t switches() const { return switches_; }
+
+  /// Internal: fiber entry point (first frame of every fiber stack).
+  void fiber_main(std::uint32_t index);
 
  private:
+  /// A suspended execution context: the saved stack pointer (the registers
+  /// sit on the stack below it) or, on the swapcontext path, a ucontext.
+  struct SwitchContext {
+#if defined(EUNO_SIM_ASM_SWITCH)
+    void* sp = nullptr;
+#else
+    ucontext_t uc{};
+#endif
+  };
+
   struct Fiber {
-    ucontext_t uctx{};
-    std::jmp_buf jb{};  // valid while started && suspended (fast-switch path)
+    SwitchContext ctx;
     void* stack = nullptr;
     std::size_t stack_bytes = 0;
     std::function<void(int)> body;
     void* fake_stack = nullptr;  // ASan fake-stack handle while suspended
     int core = -1;
+    std::uint32_t index = 0;  // spawn index (heap tie-break)
     std::uint64_t clock = 0;
-    bool started = false;
     bool done = false;
   };
 
@@ -276,8 +290,20 @@ class Simulation {
     }
   };
 
+  /// Suspend the running context into `from` and resume `to`. `from_fake`
+  /// is the suspending side's ASan fake-stack slot (nullptr: it never
+  /// resumes); `to_bottom`/`to_size` bound the destination stack. Returns
+  /// when something switches back to `from`.
+  static void switch_stacks(SwitchContext& from, void** from_fake,
+                            SwitchContext& to, const void* to_bottom,
+                            std::size_t to_size);
   void yield_to_scheduler();
+  /// Run `f` from the scheduler stack until control comes back to it: when
+  /// `f` yields (exploration policies) or, under the handoff, when whichever
+  /// fiber is running finishes.
   void resume(Fiber& f);
+  void begin_slice(Fiber& f);
+  void end_slice(Fiber& f);
   void run_deterministic_loop();
   void run_scheduled_loop();
   /// Pick the next fiber among `runnable` (sorted by fiber index) under the
@@ -295,17 +321,18 @@ class Simulation {
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<CoreCounters> counters_;
   std::vector<RunnableEntry> runnable_;  // min-heap; excludes current_
-  ucontext_t main_uctx_{};
-  std::jmp_buf sched_jb_{};  // re-armed before every resume (fast-switch path)
+  SwitchContext sched_ctx_;  // the run loop, while a fiber runs
   // ASan fiber bookkeeping: the scheduler stack's fake-stack handle while a
-  // fiber runs, and its bounds (learned at the first fiber entry) so fibers
-  // can annotate the switch back. Unused outside ASan builds.
+  // fiber runs, and its bounds (learned at the run's first fiber entry) so
+  // fibers can annotate the switch back. Unused outside ASan builds.
   void* sched_fake_stack_ = nullptr;
   const void* sched_stack_bottom_ = nullptr;
   std::size_t sched_stack_size_ = 0;
   Fiber* current_ = nullptr;
   std::uint64_t yield_threshold_ = ~0ull;
+  std::uint64_t switches_ = 0;  // see switches()
   bool running_ = false;
+  bool direct_handoff_ = false;  // deterministic policy: fiber-to-fiber yields
   bool trace_on_ = false;
   std::vector<obs::EventRing> trace_buf_;  // per core; see enable_trace
   obs::EventRing* active_ring_ = nullptr;  // == &trace_buf_[current core] or null

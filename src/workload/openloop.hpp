@@ -62,6 +62,10 @@ class ArrivalStream {
         think_(spec.think),
         base_(origin) {}
 
+  /// Move the schedule's start to `origin` (before the first next()): lets
+  /// a caller build the stream before it reads its clock origin.
+  void start_at(std::uint64_t origin) { base_ = origin; }
+
   /// Scheduled arrival of the next op, given the previous op's completion
   /// time (pass 0 for the first call). Advances the stream. The think floor
   /// models a pause after a completion, so a client with none yet

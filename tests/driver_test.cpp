@@ -96,6 +96,28 @@ TEST(Driver, NativeEngineSmoke) {
   EXPECT_GT(r.throughput_mops, 0.0);
 }
 
+TEST(Driver, NativeOpenLoopOriginFollowsGeneratorSetup) {
+  // The open-loop clock origin of a native store run must come after every
+  // client built its op stream: a cold Zipfian zeta precompute (about 20 ms
+  // at 1 Mi keys) ahead of the first arrival would otherwise show up as the
+  // first op's sojourn. This key range and theta appear in no other test,
+  // so the process-wide zeta cache is cold here.
+  ExperimentSpec spec;
+  spec.tree = TreeKind::kEuno;
+  spec.threads = 1;
+  spec.workload.key_range = (1ull << 20) + 7919;
+  spec.workload.dist = workload::DistKind::kZipfian;
+  spec.workload.dist_param = 0.93;
+  spec.preload = 1024;
+  spec.ops_per_thread = 1;
+  spec.store.shards = 2;
+  spec.store.offered_load_mops = 0.002;  // 500 us mean inter-arrival
+  spec.obs.latency = true;
+  const auto r = run_native_experiment(spec);
+  ASSERT_EQ(r.op_latency.count(), 1u);
+  EXPECT_LT(r.op_latency.max(), 5'000'000u) << "first-op sojourn, ns";
+}
+
 TEST(Driver, MemoryAccounting) {
   const auto r = run_sim_experiment(small_spec(TreeKind::kEuno, 0.5, 4));
   EXPECT_GT(r.mem_total, 0u);

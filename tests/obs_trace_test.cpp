@@ -128,7 +128,7 @@ TEST(EventRing, RoundTripPreservesEverySequence) {
 
 TEST(EventRing, SpillAndInterleavedFlushesPreserveOrder) {
   // Enough events to overflow the 4 KiB inline buffer several times, with
-  // explicit flushes sprinkled in (as the scheduler does at every switch).
+  // explicit flushes sprinkled in at arbitrary points.
   constexpr int kN = 20000;
   EventRing ring;
   for (int i = 0; i < kN; ++i) {

@@ -2,11 +2,15 @@
 // accounting, determinism, arena allocation, and the coherence cost model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
+#include "obs/event.hpp"
 #include "sim/arena.hpp"
 #include "sim/engine.hpp"
 #include "sim/memmodel.hpp"
+#include "util/rng.hpp"
 
 namespace euno::sim {
 namespace {
@@ -147,6 +151,157 @@ TEST(Engine, MemAccessOutsideFiberIsFree) {
   sim.mem_access(cell, 8, true);  // must not crash or charge anything
   *cell = 5;
   EXPECT_EQ(sim.max_clock(), 0u);
+}
+
+// ---- interleaving against a linear-scan reference ----
+
+constexpr int kInterleaveFibers = 16;
+
+/// Spawn index -> simulated core: a permutation, so tie-breaks on the spawn
+/// index are told apart from tie-breaks on the core id.
+int core_of_index(int i) { return (i * 5) % kInterleaveFibers; }
+
+/// Seeded per-fiber charge lists: charges are multiples of 10 (equal-clock
+/// ties are common) and lengths are uneven (some fibers finish early).
+std::vector<std::vector<std::uint64_t>> interleave_charges(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<std::uint64_t>> charges(kInterleaveFibers);
+  for (auto& list : charges) {
+    const std::uint64_t len =
+        rng.next_bounded(4) == 0 ? 1 + rng.next_bounded(5)
+                                 : 20 + rng.next_bounded(200);
+    for (std::uint64_t k = 0; k < len; ++k) {
+      list.push_back(10 * (1 + rng.next_bounded(3)));
+    }
+  }
+  return charges;
+}
+
+struct Slice {
+  int core;
+  std::uint64_t begin, end;
+  bool operator==(const Slice&) const = default;
+};
+
+struct Interleaving {
+  std::vector<std::pair<int, std::uint64_t>> charges;  // (core, clock) order
+  std::vector<Slice> slices;                           // run slices, in order
+};
+
+/// The scheduling rule, written as plainly as possible: always run the
+/// runnable fiber with the smallest (clock, spawn index); it keeps running
+/// while its clock stays <= the smallest other runnable clock, and yields
+/// once a charge takes it strictly past that. A charge is observed when its
+/// fiber next runs (charge() returns only then).
+Interleaving reference_interleaving(
+    const std::vector<std::vector<std::uint64_t>>& charges) {
+  const int n = static_cast<int>(charges.size());
+  std::vector<std::uint64_t> clock(static_cast<std::size_t>(n), 0);
+  std::vector<std::size_t> pos(static_cast<std::size_t>(n), 0);
+  std::vector<bool> done(static_cast<std::size_t>(n), false);
+  const auto pick = [&](int skip) {
+    int best = -1;
+    for (int i = 0; i < n; ++i) {
+      if (done[static_cast<std::size_t>(i)] || i == skip) continue;
+      if (best < 0 || clock[static_cast<std::size_t>(i)] <
+                          clock[static_cast<std::size_t>(best)]) {
+        best = i;
+      }
+    }
+    return best;
+  };
+  Interleaving out;
+  for (int cur = pick(-1); cur >= 0; cur = pick(-1)) {
+    const auto c = static_cast<std::size_t>(cur);
+    Slice slice{core_of_index(cur), clock[c], 0};
+    for (;;) {
+      if (pos[c] > 0) out.charges.push_back({core_of_index(cur), clock[c]});
+      if (pos[c] == charges[c].size()) {
+        done[c] = true;
+        break;
+      }
+      clock[c] += charges[c][pos[c]++];
+      const int other = pick(cur);
+      if (other >= 0 && clock[c] > clock[static_cast<std::size_t>(other)]) {
+        break;
+      }
+    }
+    slice.end = clock[c];
+    out.slices.push_back(slice);
+  }
+  return out;
+}
+
+Interleaving engine_interleaving(
+    const std::vector<std::vector<std::uint64_t>>& charges, bool trace,
+    std::uint64_t* switches) {
+  Simulation sim(small_config());
+  if (trace) sim.enable_trace();
+  Interleaving out;
+  for (int i = 0; i < kInterleaveFibers; ++i) {
+    const auto& list = charges[static_cast<std::size_t>(i)];
+    sim.spawn(core_of_index(i), [&sim, &out, &list](int core) {
+      for (const std::uint64_t c : list) {
+        sim.charge(c);
+        out.charges.push_back({core, sim.clock_of(core)});
+      }
+    });
+  }
+  sim.run();
+  *switches = sim.switches();
+  // Per core, the trace's kRunBegin/kRunEnd pairs are that core's slices;
+  // the reference's global slice order restricted to one core must match.
+  std::vector<Slice> open(MachineConfig::kMaxCores);
+  for (const TraceEvent& e : sim.trace_events()) {
+    const auto code = static_cast<obs::EventCode>(e.code);
+    if (code == obs::EventCode::kRunBegin) {
+      open[e.core] = Slice{e.core, e.clock, 0};
+    } else if (code == obs::EventCode::kRunEnd) {
+      open[e.core].end = e.clock;
+      out.slices.push_back(open[e.core]);
+    }
+  }
+  return out;
+}
+
+std::vector<Slice> slices_of_core(const std::vector<Slice>& all, int core) {
+  std::vector<Slice> mine;
+  for (const Slice& s : all) {
+    if (s.core == core) mine.push_back(s);
+  }
+  return mine;
+}
+
+TEST(Engine, InterleavingMatchesLinearScanReference) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 42ull}) {
+    SCOPED_TRACE(seed);
+    const auto charges = interleave_charges(seed);
+    const Interleaving ref = reference_interleaving(charges);
+    std::uint64_t switches = 0;
+    const Interleaving got = engine_interleaving(charges, false, &switches);
+    EXPECT_EQ(got.charges, ref.charges);
+    EXPECT_EQ(switches, ref.slices.size());
+    EXPECT_GT(ref.slices.size(), 100u);  // the schedule really interleaves
+  }
+}
+
+TEST(Engine, TracedRunSlicesMatchReferenceSwitchPoints) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  for (const std::uint64_t seed : {1ull, 7ull}) {
+    SCOPED_TRACE(seed);
+    const auto charges = interleave_charges(seed);
+    const Interleaving ref = reference_interleaving(charges);
+    std::uint64_t switches = 0;
+    const Interleaving got = engine_interleaving(charges, true, &switches);
+    EXPECT_EQ(got.charges, ref.charges);  // tracing never moves the schedule
+    EXPECT_EQ(switches, ref.slices.size());
+    ASSERT_EQ(got.slices.size(), ref.slices.size());
+    for (int core = 0; core < kInterleaveFibers; ++core) {
+      EXPECT_EQ(slices_of_core(got.slices, core),
+                slices_of_core(ref.slices, core))
+          << "core " << core;
+    }
+  }
 }
 
 TEST(CostModel, FirstTouchIsDram) {
