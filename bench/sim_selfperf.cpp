@@ -14,6 +14,8 @@
 //     (latency + contention + trace), tracking the cost of instrumentation;
 //     the sim results must stay bit-identical either way. Median of kHotRuns
 //     runs, interleaved with the obs-off runs so host drift hits both alike.
+//   - obs_overhead_pct: obs-on over obs-off time, the median over the
+//     kHotRuns interleaved off/on pairs.
 //   - switches_per_access: fiber switches (resumes) per instrumented access
 //     in the hot run — how often fibers leapfrog each other there.
 //   - ns_per_switch: host nanoseconds per fiber switch, measured by a
@@ -21,6 +23,15 @@
 //     tie, so each charge passes the next fiber's clock). Median of kHotRuns.
 //     With switches_per_access this splits wall_ns_per_access into the
 //     engine's switch share and everything else.
+//   - ref_ns_per_step: host nanoseconds per step of a fixed reference loop
+//     that runs no project code (a dependent random walk over a 256 KiB
+//     table). It is timed before and after every hot run, in the same
+//     process, so it sees the same host as the run it brackets.
+//   - wall_ref_ratio / obs_on_wall_ref_ratio: each hot run's ns per access
+//     over the mean of its two bracketing reference timings; median of
+//     kHotRuns. A host slowdown moves run and reference alike and cancels;
+//     a slower simulator moves only the run. scripts/check_selfperf.py
+//     gates on these ratios.
 //   - simd_speedup_*: scalar over SIMD in-node search time, the median of
 //     kSearchRuns interleaved scalar/SIMD timing pairs.
 // The JSON artifact also carries every per-run value behind each median.
@@ -114,6 +125,31 @@ double time_switch_ns(std::uint64_t charges) {
                             : 0;
 }
 
+// ns per step of the host reference loop: a serial random walk over a
+// 256 KiB table, each step one dependent load plus a multiply-xorshift mix.
+// It runs no project code, so its time tracks the host's speed, not the
+// code's. Among the loops tried (32 KiB, 256 KiB and 4 MiB walks, a pure
+// ALU chain, a walk on a concurrent thread), this one's ratio to the hot
+// run spread least over repeated runs on a 4-vCPU VM whose speed drifted.
+double time_reference_ns(std::uint64_t steps, std::uint64_t* sink) {
+  constexpr std::size_t kSlots = std::size_t{1} << 15;
+  static const std::vector<std::uint64_t> table = [] {
+    std::vector<std::uint64_t> t(kSlots);
+    Xoshiro256 rng(7);
+    for (auto& x : t) x = rng.next();
+    return t;
+  }();
+  std::uint64_t x = 1;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < steps; ++i) {
+    x = table[x & (kSlots - 1)] ^ (x * 0x9e3779b97f4a7c15ull);
+    x ^= x >> 29;
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  *sink += x;
+  return wall_ms(t0, t1) * 1e6 / static_cast<double>(steps);
+}
+
 double per_access_ns(double ms, std::uint64_t accesses) {
   return accesses > 0 ? ms * 1e6 / static_cast<double>(accesses) : 0;
 }
@@ -182,19 +218,36 @@ int main(int argc, char** argv) {
   hot_obs.obs.contention = true;
   hot_obs.obs.trace = true;
 
+  // Every timed run is bracketed by two timings of the host reference loop:
+  // ref, off, ref, on, ref, off, ... — 2 * kHotRuns + 1 reference timings.
   constexpr int kHotRuns = 3;
+  const std::uint64_t ref_steps = 15'000'000;  // ~130 ms per timing
+  std::uint64_t ref_sink = 0;
+  (void)time_reference_ns(ref_steps / 10, &ref_sink);  // warm-up (table)
   std::vector<double> hot_ms_runs, ns_runs, obs_ns_runs;
+  std::vector<double> ref_ns_runs, ratio_runs, obs_ratio_runs;
+  ref_ns_runs.push_back(time_reference_ns(ref_steps, &ref_sink));
+  // A run's ratio: its ns per access over the mean of its two references.
+  const auto timed_ratio = [&](double ns) {
+    const double before = ref_ns_runs.back();
+    ref_ns_runs.push_back(time_reference_ns(ref_steps, &ref_sink));
+    const double ref = (before + ref_ns_runs.back()) / 2;
+    return ref > 0 ? ns / ref : 0;
+  };
   driver::ExperimentResult hr, orr;
   bool obs_identical = true;
   for (int r = 0; r < kHotRuns; ++r) {
     const auto h0 = std::chrono::steady_clock::now();
     hr = driver::run_sim_experiment(hot);
     const auto h1 = std::chrono::steady_clock::now();
-    orr = driver::run_sim_experiment(hot_obs);
-    const auto o1 = std::chrono::steady_clock::now();
     hot_ms_runs.push_back(wall_ms(h0, h1));
     ns_runs.push_back(per_access_ns(hot_ms_runs.back(), hr.mem_accesses));
-    obs_ns_runs.push_back(per_access_ns(wall_ms(h1, o1), orr.mem_accesses));
+    ratio_runs.push_back(timed_ratio(ns_runs.back()));
+    const auto o0 = std::chrono::steady_clock::now();
+    orr = driver::run_sim_experiment(hot_obs);
+    const auto o1 = std::chrono::steady_clock::now();
+    obs_ns_runs.push_back(per_access_ns(wall_ms(o0, o1), orr.mem_accesses));
+    obs_ratio_runs.push_back(timed_ratio(obs_ns_runs.back()));
     obs_identical = obs_identical && orr.sim_cycles == hr.sim_cycles &&
                     orr.aborts_total == hr.aborts_total &&
                     orr.mem_accesses == hr.mem_accesses;
@@ -202,8 +255,18 @@ int main(int argc, char** argv) {
   const double hot_ms = median(hot_ms_runs);
   const double ns_per_access = median(ns_runs);
   const double obs_ns_per_access = median(obs_ns_runs);
-  const double obs_overhead_pct =
-      ns_per_access > 0 ? 100.0 * (obs_ns_per_access / ns_per_access - 1.0) : 0;
+  const double ref_ns_per_step = median(ref_ns_runs);
+  const double wall_ref_ratio = median(ratio_runs);
+  const double obs_on_wall_ref_ratio = median(obs_ratio_runs);
+  // Overhead per pair (each obs-on run against the obs-off run just before
+  // it), then the median: host drift between pairs cancels out.
+  std::vector<double> overhead_runs;
+  for (int r = 0; r < kHotRuns; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    overhead_runs.push_back(
+        ns_runs[i] > 0 ? 100.0 * (obs_ns_runs[i] / ns_runs[i] - 1.0) : 0);
+  }
+  const double obs_overhead_pct = median(overhead_runs);
   const double switches_per_access =
       hr.mem_accesses > 0 ? static_cast<double>(hr.sim_switches) /
                                 static_cast<double>(hr.mem_accesses)
@@ -247,7 +310,7 @@ int main(int argc, char** argv) {
   const double find_eq_simd_ns = median(find_eq.simd_ns);
   const double speedup_find_eq = median(find_eq.speedup);
   std::printf("search kernel: %s (sink %llu)\n", simd_k.name,
-              static_cast<unsigned long long>(sink & 1));
+              static_cast<unsigned long long>((sink ^ ref_sink) & 1));
 
   // --- Part 2: sweep throughput (experiments/minute, quick fig10 sweep) ---
   auto sweep_spec = bench::figure_spec(args);
@@ -294,6 +357,10 @@ int main(int argc, char** argv) {
   table.add_row({"obs_on_wall_ns_per_access",
                  stats::Table::num(obs_ns_per_access, 1)});
   table.add_row({"obs_overhead_pct", stats::Table::num(obs_overhead_pct, 1)});
+  table.add_row({"ref_ns_per_step", stats::Table::num(ref_ns_per_step, 2)});
+  table.add_row({"wall_ref_ratio", stats::Table::num(wall_ref_ratio, 3)});
+  table.add_row({"obs_on_wall_ref_ratio",
+                 stats::Table::num(obs_on_wall_ref_ratio, 3)});
   table.add_row({"obs_bit_identical", obs_identical ? "yes" : "NO"});
   table.add_row({"hot_run_accesses", stats::Table::num(hr.mem_accesses)});
   table.add_row({"switches_per_access",
@@ -331,6 +398,13 @@ int main(int argc, char** argv) {
     w.kv("obs_on_wall_ns_per_access", obs_ns_per_access, 2);
     kv_runs(w, "obs_on_wall_ns_per_access_runs", obs_ns_runs, 2);
     w.kv("obs_overhead_pct", obs_overhead_pct, 2);
+    kv_runs(w, "obs_overhead_pct_runs", overhead_runs, 2);
+    w.kv("ref_ns_per_step", ref_ns_per_step, 3);
+    kv_runs(w, "ref_ns_per_step_runs", ref_ns_runs, 3);
+    w.kv("wall_ref_ratio", wall_ref_ratio, 4);
+    kv_runs(w, "wall_ref_ratio_runs", ratio_runs, 4);
+    w.kv("obs_on_wall_ref_ratio", obs_on_wall_ref_ratio, 4);
+    kv_runs(w, "obs_on_wall_ref_ratio_runs", obs_ratio_runs, 4);
     w.kv("obs_bit_identical", obs_identical);
     w.kv("hot_run_accesses", hr.mem_accesses);
     w.kv("hot_run_switches", hr.sim_switches);

@@ -4,8 +4,9 @@
 Compares the self-perf artifact sim_selfperf wrote against the checked-in
 budget (bench/selfperf_budget.json) and exits nonzero when:
 
-  - wall_ns_per_access or obs_on_wall_ns_per_access regresses more than
-    margin_pct (default 15%) past its budget,
+  - wall_ref_ratio or obs_on_wall_ref_ratio (ns per access over the ns per
+    step of a fixed host reference loop timed around each run in the same
+    process) regresses more than margin_pct (default 15%) past its budget,
   - obs_overhead_pct exceeds the hard cap (the ISSUE's <25% acceptance bar),
   - the SIMD in-node search speedups fall below their floors (scalar
     dispatch via EUNO_NO_SIMD would trip this — the gate runs the real
@@ -13,9 +14,12 @@ budget (bench/selfperf_budget.json) and exits nonzero when:
   - either bit-identical tripwire (obs on/off, parallel vs sequential)
     reports false.
 
-The ns/op walls are *budgets*, not medians: they carry headroom for host
-noise, and the margin sits on top. Tighten them when the hot path gets
-faster, so the gate keeps teeth.
+The ratio walls are *budgets*, not medians: they carry headroom for run
+noise, and the margin sits on top. Gating on ratios rather than raw ns lets
+a host slowdown, which moves the run and the reference alike, pass, while a
+slower simulator, which moves only the run, fails. Tighten the budgets when
+the hot path gets faster, so the gate keeps teeth. The raw ns figures are
+printed for reference and not gated.
 
 Usage: check_selfperf.py BENCH_sim_selfperf.json [budget.json]
 """
@@ -44,6 +48,8 @@ def load(path):
 REQUIRED_BENCH_KEYS = (
     "wall_ns_per_access",
     "obs_on_wall_ns_per_access",
+    "wall_ref_ratio",
+    "obs_on_wall_ref_ratio",
     "obs_overhead_pct",
     "simd_speedup_count_le",
     "simd_speedup_find_eq",
@@ -51,8 +57,8 @@ REQUIRED_BENCH_KEYS = (
     "parallel_bit_identical",
 )
 REQUIRED_BUDGET_KEYS = (
-    "wall_ns_per_access",
-    "obs_on_wall_ns_per_access",
+    "wall_ref_ratio",
+    "obs_on_wall_ref_ratio",
     "simd_speedup_count_le_min",
     "simd_speedup_find_eq_min",
 )
@@ -88,13 +94,13 @@ def main():
     errors = []
     margin = 1.0 + budget.get("margin_pct", 15) / 100.0
 
-    for key in ("wall_ns_per_access", "obs_on_wall_ns_per_access"):
+    for key in ("wall_ref_ratio", "obs_on_wall_ref_ratio"):
         got, limit = bench[key], budget[key]
         ceiling = limit * margin
         if got > ceiling:
             errors.append(
-                f"{key}: {got:.1f} ns exceeds budget {limit} "
-                f"(+{budget.get('margin_pct', 15)}% margin = {ceiling:.1f})"
+                f"{key}: {got:.3f} exceeds budget {limit} "
+                f"(+{budget.get('margin_pct', 15)}% margin = {ceiling:.3f})"
             )
 
     cap = budget.get("obs_overhead_pct_max", 25)
@@ -124,9 +130,11 @@ def main():
 
     print(
         "check_selfperf: OK: "
-        f"wall {bench['wall_ns_per_access']:.1f} ns/access, "
-        f"obs on {bench['obs_on_wall_ns_per_access']:.1f} "
-        f"({bench['obs_overhead_pct']:.1f}% overhead), "
+        f"wall {bench['wall_ref_ratio']:.3f}x ref "
+        f"({bench['wall_ns_per_access']:.1f} ns/access), "
+        f"obs on {bench['obs_on_wall_ref_ratio']:.3f}x ref "
+        f"({bench['obs_on_wall_ns_per_access']:.1f} ns, "
+        f"{bench['obs_overhead_pct']:.1f}% overhead), "
         f"SIMD {bench.get('simd_kernel', '?')} "
         f"count_le {bench['simd_speedup_count_le']:.2f}x / "
         f"find_eq {bench['simd_speedup_find_eq']:.2f}x"

@@ -22,8 +22,9 @@
 # artifact in the build directory) and checks the numbers against
 # bench/selfperf_budget.json via scripts/check_selfperf.py (each timed
 # figure is the median of repeated interleaved runs) — failing on a
-# >15% ns-per-access regression, obs-on overhead above 25%, SIMD search
-# speedups below their floors, or any bit-identity tripwire.
+# >15% regression of ns per access relative to a host reference loop timed
+# around each run, obs-on overhead above 25%, SIMD search speedups below
+# their floors, or any bit-identity tripwire.
 #
 # The tsan job rebuilds with -DEUNO_TSAN=ON and runs the `parallel` label
 # (the OS-thread sweep runner), the `lin` label (the linearizability suite,

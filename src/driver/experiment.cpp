@@ -16,8 +16,8 @@
 
 namespace euno::driver {
 
+using trees::node::BytesView;
 using workload::Op;
-using workload::OpStream;
 using workload::OpType;
 
 std::string tree_kind_name(TreeKind k) {
@@ -28,109 +28,6 @@ namespace {
 
 /// Rows kept in the hottest-lines attribution table.
 constexpr std::size_t kHotLinesTopK = 16;
-
-template <class Tree, class Ctx>
-void run_ops(Tree& tree, Ctx& c, OpStream& stream, std::uint64_t n,
-             std::uint32_t scan_len) {
-  std::vector<trees::KV> scan_buf(scan_len);
-  obs::ThreadObs* tobs = c.observer();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Op op = stream.next();
-    c.note_event(ctx::TraceCode::kOpBegin, static_cast<std::uint8_t>(op.type));
-    const std::uint64_t t0 = tobs != nullptr ? c.now() : 0;
-    switch (op.type) {
-      case OpType::kGet: {
-        trees::Value v;
-        (void)tree.get(c, op.key, &v);
-        break;
-      }
-      case OpType::kPut:
-        tree.put(c, op.key, op.value);
-        break;
-      case OpType::kScan:
-        (void)tree.scan(c, op.key, scan_buf.size(), scan_buf.data());
-        break;
-      case OpType::kDelete:
-        (void)tree.erase(c, op.key);
-        break;
-    }
-    if (tobs != nullptr) {
-      const std::uint64_t t1 = c.now();
-      tobs->op_latency.record(t1 - t0);
-      tobs->series.record_op(t1, t1 - t0);
-    }
-    c.note_event(ctx::TraceCode::kOpEnd, static_cast<std::uint8_t>(op.type));
-  }
-}
-
-/// Bytes-domain twin of run_ops: the stream still samples u64 key ids (the
-/// whole distribution machinery applies unchanged); the key space maps each
-/// id to its string key at issue time, and puts carry a synthesized payload
-/// behind the tree's value indirection. Latency accounting is identical.
-template <class Tree, class Ctx>
-void run_ops_str(Tree& tree, Ctx& c, OpStream& stream,
-                 const workload::StringKeySpace& ks, std::uint64_t n,
-                 std::uint32_t scan_len, std::uint32_t value_bytes) {
-  obs::ThreadObs* tobs = c.observer();
-  // The emit sink keeps scans honest (records are decoded through the ctx,
-  // charged by the cost model) without accumulating host-side state.
-  std::size_t scan_sink = 0;
-  const trees::node::StrEmitFn emit =
-      [&](trees::node::BytesView, trees::Value, trees::node::BytesView p) {
-        scan_sink += p.len;
-      };
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Op op = stream.next();
-    const std::string key = ks.key_of(op.key);
-    const trees::node::BytesView kv(key.data(), key.size());
-    c.note_event(ctx::TraceCode::kOpBegin, static_cast<std::uint8_t>(op.type));
-    const std::uint64_t t0 = tobs != nullptr ? c.now() : 0;
-    switch (op.type) {
-      case OpType::kGet: {
-        trees::Value v;
-        (void)tree.get(c, kv, &v);
-        break;
-      }
-      case OpType::kPut: {
-        const std::string payload = ks.payload_of(op.key, op.value, value_bytes);
-        tree.put(c, kv, op.value,
-                 trees::node::BytesView(payload.data(), payload.size()));
-        break;
-      }
-      case OpType::kScan:
-        (void)tree.scan(c, kv, scan_len, emit);
-        break;
-      case OpType::kDelete:
-        (void)tree.erase(c, kv);
-        break;
-    }
-    if (tobs != nullptr) {
-      const std::uint64_t t1 = c.now();
-      tobs->op_latency.record(t1 - t0);
-      tobs->series.record_op(t1, t1 - t0);
-    }
-    c.note_event(ctx::TraceCode::kOpEnd, static_cast<std::uint8_t>(op.type));
-  }
-}
-
-/// Folds the enabled observability channels of one finished run into the
-/// result: merge per-thread histograms, surface latency percentiles, pull
-/// the hottest-lines table and the merged event stream.
-void finalize_obs(const obs::ObsOptions& opt, std::vector<obs::ThreadObs>& tobs,
-                  const obs::ContentionMap* cmap, const obs::NodeRegistry* reg,
-                  ExperimentResult* r) {
-  if (opt.latency) {
-    for (const auto& t : tobs) {
-      r->op_latency.merge(t.op_latency);
-      r->abort_wasted.merge(t.abort_wasted);
-    }
-    r->lat_p50 = static_cast<double>(r->op_latency.percentile(0.50));
-    r->lat_p90 = static_cast<double>(r->op_latency.percentile(0.90));
-    r->lat_p99 = static_cast<double>(r->op_latency.percentile(0.99));
-    r->lat_p999 = static_cast<double>(r->op_latency.percentile(0.999));
-  }
-  if (cmap != nullptr) r->hot_lines = cmap->top_k(kHotLinesTopK, reg);
-}
 
 void aggregate_stats(const ctx::SiteStats& s, ExperimentResult* r) {
   const htm::TxStats total = s.total();
@@ -170,50 +67,164 @@ void aggregate_stats(const ctx::SiteStats& s, ExperimentResult* r) {
   r->deadline_exceeded += total.deadline_exceeded;
 }
 
-/// Preloads the hottest `n` ranks so the measured phase hits a warm store
-/// (the remaining cold ranks produce fresh inserts).
-template <class Tree, class Ctx>
-void preload_tree(Tree& tree, Ctx& c, const workload::WorkloadSpec& w,
-                  std::uint64_t n, std::uint32_t stride) {
-  Xoshiro256 rng(w.seed ^ 0x9e3779b97f4a7c15ull);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t rank = i * stride;
-    if (rank >= w.key_range) break;
-    tree.put(c, workload::rank_to_key(rank, w.key_range, w.scramble), rng.next());
+// The registry's factories for each execution context.
+template <class Ctx>
+struct Factories;
+template <>
+struct Factories<ctx::SimCtx> {
+  static constexpr auto tree = &trees::TreeEntry::make_sim;
+  static constexpr auto str_tree = &trees::TreeEntry::make_sim_str;
+};
+template <>
+struct Factories<ctx::NativeCtx> {
+  static constexpr auto tree = &trees::TreeEntry::make_native;
+  static constexpr auto str_tree = &trees::TreeEntry::make_native_str;
+};
+
+/// What a run drives: one registry tree or, when the spec enables the store
+/// layer, a store::ShardedStore of them (DESIGN.md §15); over u64 keys or,
+/// in the bytes domain, string keys a StringKeySpace derives from each op's
+/// sampled key id (the distribution machinery applies unchanged). Exactly
+/// one of tree_, str_tree_ and store_ is set.
+template <class Ctx>
+class Target {
+ public:
+  Target(const ExperimentSpec& spec, Ctx& setup, double clock_hz)
+      : spec_(spec) {
+    const trees::TreeEntry& entry = trees::tree_registry().expect(spec.tree);
+    trees::TreeBuildOptions build;
+    build.policy = spec.policy;
+    const auto make = entry.*Factories<Ctx>::tree;
+    const auto make_str = entry.*Factories<Ctx>::str_tree;
+    const bool bytes = spec.workload.key_domain == workload::KeyDomain::kBytes;
+    if (bytes) {
+      EUNO_ASSERT_MSG(make_str != nullptr, "tree has no bytes-domain factory");
+      ks_.emplace(spec.workload.key_style, spec.workload.seed);
+    }
+    if (spec.store.enabled()) {
+      const store::StoreRuntime rt{clock_hz};
+      if (bytes) {
+        store_.emplace(setup, spec.store, rt,
+                       [&](Ctx& c) { return make_str(c, build); });
+      } else {
+        store_.emplace(setup, spec.store, rt,
+                       [&](Ctx& c) { return make(c, build); });
+      }
+    } else if (bytes) {
+      str_tree_ = make_str(setup, build);
+    } else {
+      tree_ = make(setup, build);
+    }
   }
-}
 
-template <class Tree, class Ctx>
-void preload_tree_str(Tree& tree, Ctx& c, const workload::WorkloadSpec& w,
-                      const workload::StringKeySpace& ks, std::uint64_t n,
-                      std::uint32_t stride) {
-  Xoshiro256 rng(w.seed ^ 0x9e3779b97f4a7c15ull);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t rank = i * stride;
-    if (rank >= w.key_range) break;
-    const std::uint64_t id = workload::rank_to_key(rank, w.key_range, w.scramble);
-    const std::uint64_t v = rng.next();
-    const std::string key = ks.key_of(id);
-    const std::string payload = ks.payload_of(id, v, w.value_bytes);
-    tree.put(c, trees::node::BytesView(key.data(), key.size()), v,
-             trees::node::BytesView(payload.data(), payload.size()));
+  /// Preloads the hottest `spec.preload` ranks (every preload_stride-th) so
+  /// the measured phase hits a warm structure; the remaining cold ranks
+  /// produce fresh inserts. A store preloads straight into the owning shard:
+  /// admission and deadlines are not part of the warmup.
+  void preload(Ctx& c) {
+    const workload::WorkloadSpec& w = spec_.workload;
+    Xoshiro256 rng(w.seed ^ 0x9e3779b97f4a7c15ull);
+    for (std::uint64_t i = 0; i < spec_.preload; ++i) {
+      const std::uint64_t rank = i * spec_.preload_stride;
+      if (rank >= w.key_range) break;
+      const std::uint64_t id =
+          workload::rank_to_key(rank, w.key_range, w.scramble);
+      const std::uint64_t v = rng.next();
+      if (!ks_) {
+        if (store_) {
+          store_->preload_put(c, id, v);
+        } else {
+          tree_->put(c, id, v);
+        }
+        continue;
+      }
+      const std::string key = ks_->key_of(id);
+      const std::string payload = ks_->payload_of(id, v, w.value_bytes);
+      const BytesView kv(key.data(), key.size());
+      const BytesView pv(payload.data(), payload.size());
+      if (store_) {
+        store_->preload_put_str(c, kv, v, pv);
+      } else {
+        str_tree_->put(c, kv, v, pv);
+      }
+    }
   }
-}
 
-// ---- sharded-store runners (DESIGN.md §15) ----
-//
-// Mirrors of run_sim_with/run_native_with that route every op through a
-// store::ShardedStore. Two further differences: clients may issue on an
-// open-loop Poisson schedule (latency is then *sojourn* time, completion
-// minus scheduled arrival, so backlog shows up in the histograms instead of
-// silently self-throttling the offered rate), and throughput reports goodput
-// (completed ops), with issued/admitted/shed accounted separately.
+  /// Runs one op scheduled at `sched` (a store counts the op's deadline from
+  /// it); true when the op completed. A single tree completes every op; a
+  /// store may shed one or see it miss its deadline. `scan_buf` holds
+  /// workload.scan_len records. Bytes-domain ops first build their key (and
+  /// a put's payload) text: part of the client, inside the latency window.
+  bool execute(Ctx& c, const Op& op, std::uint64_t sched, trees::KV* scan_buf) {
+    if (!ks_) {
+      if (store_) return store_->execute(c, op, sched, scan_buf).served();
+      store::run_tree_op(*tree_, c, op, scan_buf);
+      return true;
+    }
+    const std::string key = ks_->key_of(op.key);
+    std::string payload;
+    if (op.type == OpType::kPut) {
+      payload = ks_->payload_of(op.key, op.value, spec_.workload.value_bytes);
+    }
+    const BytesView kv(key.data(), key.size());
+    const BytesView pv(payload.data(), payload.size());
+    if (store_) {
+      return store_->execute_str(c, op.type, kv, op.value, pv, op.scan_len,
+                                 sched, emit_)
+          .served();
+    }
+    store::run_str_tree_op(*str_tree_, c, op.type, kv, op.value, pv,
+                           op.scan_len, emit_);
+    return true;
+  }
 
-/// Arrival schedule shared by all clients of one store run. The schedule
-/// seed is derived from (but distinct from) the key-choice seed, so workload
-/// and arrival randomness stay independent streams.
-workload::OpenLoopSpec make_openloop(const ExperimentSpec& spec,
-                                     double clock_hz) {
+  /// Throughput is goodput: completed ops per measured second. A store adds
+  /// its totals. Mid-flight deadline unwinds were already aggregated from
+  /// TxStats; the store adds its pre-check rejections, so deadline_exceeded
+  /// counts each op that missed its deadline exactly once.
+  void fold(std::uint64_t completed, double seconds, ExperimentResult* r) const {
+    r->throughput_mops =
+        seconds > 0 ? static_cast<double>(completed) / seconds / 1e6 : 0;
+    if (!store_) return;
+    const store::StoreTotals tot = store_->accumulate();
+    r->admitted_ops = tot.admitted;
+    r->shed_ops = tot.shed;
+    r->shard_degradations = tot.degradations;
+    r->deadline_exceeded += tot.deadline_exceeded;
+  }
+
+  void destroy(Ctx& c) {
+    if (store_) store_->destroy(c);
+    if (tree_) tree_->destroy(c);
+    if (str_tree_) str_tree_->destroy(c);
+  }
+
+ private:
+  const ExperimentSpec& spec_;
+  std::optional<workload::StringKeySpace> ks_;
+  std::unique_ptr<trees::AnyTree<Ctx>> tree_;
+  std::unique_ptr<trees::AnyStrTree<Ctx>> str_tree_;
+  std::optional<store::ShardedStore<Ctx>> store_;
+  // Scans decode every record through the ctx (charged by the cost model);
+  // the client keeps none of them.
+  const trees::node::StrEmitFn emit_ = [](BytesView, trees::Value,
+                                          BytesView) {};
+};
+
+/// One client's generators. Building the op stream includes the Zipfian ζ
+/// precompute (about 20 ms cold at 1 Mi keys), so every client's streams are
+/// built before a run reads its clock origin: neither a native run's
+/// measured window nor an open-loop schedule may include generator set-up.
+struct ClientStreams {
+  workload::DriftingOpStream ops;
+  workload::ArrivalStream arrivals;
+};
+
+std::vector<ClientStreams> make_client_streams(const ExperimentSpec& spec,
+                                               double clock_hz) {
+  // One arrival schedule for all clients. Its seed is derived from (but
+  // distinct from) the key-choice seed, so workload and arrival randomness
+  // stay independent streams.
   workload::OpenLoopSpec ol;
   ol.seed = spec.workload.seed ^ 0x0B5E55ull;
   ol.clients = spec.threads;
@@ -224,66 +235,47 @@ workload::OpenLoopSpec make_openloop(const ExperimentSpec& spec,
     ol.mean_gap = clock_hz * static_cast<double>(spec.threads) /
                   (spec.store.offered_load_mops * 1e6);
   }
-  return ol;
-}
-
-/// One client's generators. Building the op stream includes the Zipfian ζ
-/// precompute (about 20 ms cold at 1 Mi keys), so every client's streams are
-/// built before a run reads its clock origin: an open-loop schedule must not
-/// start running while its generators are still being set up.
-struct ClientStreams {
-  workload::DriftingOpStream ops;
-  workload::ArrivalStream arrivals;
-};
-
-std::vector<ClientStreams> make_client_streams(
-    const ExperimentSpec& spec, const workload::OpenLoopSpec& ol) {
   std::vector<ClientStreams> clients;
   clients.reserve(static_cast<std::size_t>(spec.threads));
   for (int t = 0; t < spec.threads; ++t) {
-    clients.push_back(ClientStreams{
-        workload::DriftingOpStream(spec.workload, t, spec.store.drift_to,
-                                   spec.ops_per_thread),
-        workload::ArrivalStream(ol, t)});
+    clients.push_back(
+        {{spec.workload, t, spec.store.drift_to, spec.ops_per_thread}, {ol, t}});
   }
   return clients;
 }
 
-/// One client's issue loop over its pre-built streams, with arrivals counted
-/// from `origin`. `idle_until(t)` blocks (sim: charges cycles; native:
-/// spins) until the context clock reaches t — how a client waits for its
-/// next scheduled arrival. Returns the number of *completed* ops (the
-/// goodput numerator); sheds and deadline misses complete nothing.
-template <class Ctx, class IdleUntil, class Exec>
-std::uint64_t run_store_ops(Ctx& c, const ExperimentSpec& spec,
-                            ClientStreams& client, std::uint64_t origin,
-                            IdleUntil idle_until, Exec exec) {
-  workload::DriftingOpStream& stream = client.ops;
-  workload::ArrivalStream& arrivals = client.arrivals;
-  arrivals.start_at(origin);
+/// One client's issue loop. A closed-loop client issues each op as soon as
+/// the previous one returns; an open-loop client issues on its arrival
+/// schedule, counted from the backend's clock origin, and idles until each
+/// arrival. An op's latency window runs from its scheduled arrival (closed
+/// loop: its issue) to its completion, so open-loop latency is sojourn time
+/// and backlog shows up in the histograms instead of silently throttling
+/// the offered rate. Only completed ops are recorded: latency percentiles
+/// are percentiles of served ops. Returns the number of completed ops.
+template <class Backend, class Ctx>
+std::uint64_t run_client(Backend& b, Ctx& c, const ExperimentSpec& spec,
+                         ClientStreams& client, Target<Ctx>& target) {
+  client.arrivals.start_at(b.origin());
   const bool open_loop = spec.store.open_loop();
   obs::ThreadObs* tobs = c.observer();
+  std::vector<trees::KV> scan_buf(spec.workload.scan_len);
   std::uint64_t completed = 0;
-  std::uint64_t completion = origin;
+  // No completion yet: the think floor only follows a completed op.
+  std::uint64_t completion = 0;
   for (std::uint64_t i = 0; i < spec.ops_per_thread; ++i) {
-    std::uint64_t sched;
+    std::uint64_t sched = 0;
     if (open_loop) {
-      sched = arrivals.next(completion);
-      idle_until(sched);
-    } else {
-      sched = c.now();
+      sched = client.arrivals.next(completion);
+      b.idle_until(c, sched);
     }
-    const Op op = stream.next();
+    const Op op = client.ops.next();
     c.note_event(ctx::TraceCode::kOpBegin, static_cast<std::uint8_t>(op.type));
-    const store::OpResult res = exec(c, op, sched);
+    if (!open_loop) sched = c.now();
+    const bool done = target.execute(c, op, sched, scan_buf.data());
     completion = c.now();
-    if (res.status == store::StoreStatus::kOk ||
-        res.status == store::StoreStatus::kNotFound) {
+    if (done) {
       completed++;
       if (tobs != nullptr) {
-        // Sojourn time: queueing lateness + service. Only ops the store
-        // actually served are recorded — the latency-under-load curves are
-        // percentiles *of admitted ops* by construction.
         tobs->op_latency.record(completion - sched);
         tobs->series.record_op(completion, completion - sched);
       }
@@ -293,182 +285,223 @@ std::uint64_t run_store_ops(Ctx& c, const ExperimentSpec& spec,
   return completed;
 }
 
-/// Preload through the store's shard router (admission/deadline bypassed:
-/// the warmup phase is not part of the measured service).
-template <class Store, class Ctx>
-void preload_store(Store& st, Ctx& c, const workload::WorkloadSpec& w,
-                   std::uint64_t n, std::uint32_t stride) {
-  Xoshiro256 rng(w.seed ^ 0x9e3779b97f4a7c15ull);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t rank = i * stride;
-    if (rank >= w.key_range) break;
-    st.preload_put(c, workload::rank_to_key(rank, w.key_range, w.scramble),
-                   rng.next());
-  }
-}
-
-template <class Store, class Ctx>
-void preload_store_str(Store& st, Ctx& c, const workload::WorkloadSpec& w,
-                       const workload::StringKeySpace& ks, std::uint64_t n,
-                       std::uint32_t stride) {
-  Xoshiro256 rng(w.seed ^ 0x9e3779b97f4a7c15ull);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t rank = i * stride;
-    if (rank >= w.key_range) break;
-    const std::uint64_t id = workload::rank_to_key(rank, w.key_range, w.scramble);
-    const std::uint64_t v = rng.next();
-    const std::string key = ks.key_of(id);
-    const std::string payload = ks.payload_of(id, v, w.value_bytes);
-    st.preload_put_str(c, trees::node::BytesView(key.data(), key.size()), v,
-                       trees::node::BytesView(payload.data(), payload.size()));
-  }
-}
-
-/// Per-thread store executor: owns the thread's scan buffer and routes each
-/// op to the store's u64 or bytes entry point. With a key space attached
-/// (bytes domain) it materializes the key/payload text at issue time — the
-/// string build is part of the client, not the measured service, but it sits
-/// inside the latency window just like the u64 path's op setup.
-template <class Ctx, class Store>
-class StoreExec {
+/// The simulated multicore: clients are fibers on the deterministic engine,
+/// the clock is each core's cycle counter (origin 0), and an idle client
+/// charges the cycles it waits. Observability channels record host-side and
+/// charge no simulated cycles — the machine model cannot see any of them.
+class SimBackend {
  public:
-  StoreExec(Store& st, const ExperimentSpec& spec,
-            const workload::StringKeySpace* ks)
-      : st_(st), spec_(spec), ks_(ks), scan_buf_(spec.workload.scan_len) {}
+  using Ctx = ctx::SimCtx;
 
-  store::OpResult operator()(Ctx& c, const Op& op, std::uint64_t sched) {
-    if (ks_ == nullptr) return st_.execute(c, op, sched, scan_buf_.data());
-    const std::string key = ks_->key_of(op.key);
-    std::string payload;
-    trees::node::BytesView pv;
-    if (op.type == OpType::kPut) {
-      payload = ks_->payload_of(op.key, op.value, spec_.workload.value_bytes);
-      pv = trees::node::BytesView(payload.data(), payload.size());
+  SimBackend(const ExperimentSpec& spec, const obs::ObsOptions& opt)
+      : spec_(spec), opt_(opt), sim_(spec.machine) {
+    EUNO_ASSERT(spec.threads >= 1 &&
+                spec.threads <= spec.machine.topology.total_cores());
+    // Enabled before the tree exists so node allocations register.
+    if (opt.contention) sim_.enable_contention(&cmap_, &node_reg_);
+    if (opt.trace) sim_.enable_trace();
+  }
+
+  sim::Simulation& engine() { return sim_; }
+  double clock_hz() const { return spec_.ghz * 1e9; }
+  std::uint64_t origin() const { return 0; }
+  template <class Fn>
+  void preload(Fn fn) {
+    fn();
+  }
+
+  /// Runs client(c, t) for every client t on its own fiber.
+  template <class Client>
+  void run_clients(Client client) {
+    for (int t = 0; t < spec_.threads; ++t) {
+      sim_.spawn(t, [&, t](int core) {
+        Ctx c(sim_, core);
+        client(c, t);
+      });
     }
-    return st_.execute_str(c, op.type,
-                           trees::node::BytesView(key.data(), key.size()),
-                           op.value, pv, op.scan_len, sched, emit_);
+    sim_.run();
+  }
+
+  void idle_until(Ctx& c, std::uint64_t target) {
+    const std::uint64_t now = c.now();
+    if (target > now) sim_.charge(target - now);
+  }
+
+  double seconds() const {
+    return static_cast<double>(sim_.max_clock()) / clock_hz();
+  }
+
+  /// Engine-only results: simulated time and instruction counts, the
+  /// contention table, trace, time-series and injected-fault counters.
+  void finish(std::vector<obs::ThreadObs>& tobs, ExperimentResult* r) {
+    r->sim_cycles = sim_.max_clock();
+    r->sim_switches = sim_.switches();
+    std::uint64_t instr = 0, wasted = 0, clock_sum = 0;
+    for (int t = 0; t < spec_.threads; ++t) {
+      instr += sim_.counters(t).instructions;
+      r->mem_accesses += sim_.counters(t).mem_accesses;
+      wasted += sim_.counters(t).cycles_wasted;
+      clock_sum += sim_.clock_of(t);
+    }
+    r->instructions_per_op =
+        static_cast<double>(instr) / static_cast<double>(r->ops);
+    r->wasted_cycle_frac =
+        clock_sum > 0
+            ? static_cast<double>(wasted) / static_cast<double>(clock_sum)
+            : 0;
+    if (opt_.contention) r->hot_lines = cmap_.top_k(kHotLinesTopK, &node_reg_);
+    if (opt_.trace) r->trace = sim_.take_trace();
+    if (opt_.metrics_interval != 0) {
+      for (int t = 0; t < spec_.threads; ++t) {
+        tobs[static_cast<std::size_t>(t)].series.finish(sim_.clock_of(t));
+      }
+      r->timeseries = obs::merge_series(opt_.metrics_interval, "cycles", tobs);
+    }
+    const sim::FaultCounters& fc = sim_.fault_counters();
+    r->faults_spurious = fc.spurious_aborts;
+    r->faults_burst = fc.burst_aborts;
+    r->faults_lock_delay = fc.lock_hold_delays;
+    r->fault_capacity_phases = fc.capacity_phases;
   }
 
  private:
-  Store& st_;
   const ExperimentSpec& spec_;
-  const workload::StringKeySpace* ks_;
-  std::vector<trees::KV> scan_buf_;
-  trees::node::StrEmitFn emit_ =
-      [](trees::node::BytesView, trees::Value, trees::node::BytesView) {};
+  const obs::ObsOptions opt_;
+  sim::Simulation sim_;
+  obs::ContentionMap cmap_;
+  obs::NodeRegistry node_reg_;
 };
 
-/// Fold the store totals into the result. Mid-flight deadline unwinds were
-/// already aggregated from TxStats (aggregate_stats); the store adds the
-/// pre-check rejections, so deadline_exceeded ends up counting each op that
-/// missed its deadline exactly once.
-void fold_store_totals(const store::StoreTotals& tot, std::uint64_t completed,
-                       double seconds, ExperimentResult* r) {
-  r->admitted_ops = tot.admitted;
-  r->shed_ops = tot.shed;
-  r->shard_degradations = tot.degradations;
-  r->deadline_exceeded += tot.deadline_exceeded;
-  r->throughput_mops =
-      seconds > 0 ? static_cast<double>(completed) / seconds / 1e6 : 0;
-}
+/// Real threads (real RTM when present): the clock is wall nanoseconds from
+/// a shared origin read after every client's streams are built, and the
+/// measured seconds are the wall time of the client threads. Native obs
+/// channels are latency histograms, per-thread event rings (obs.trace),
+/// windowed time-series and perf counters; contention attribution is
+/// sim-only.
+class NativeBackend {
+ public:
+  using Ctx = ctx::NativeCtx;
 
-ExperimentResult run_store_sim(const ExperimentSpec& spec) {
-  EUNO_ASSERT(spec.threads >= 1 &&
-              spec.threads <= spec.machine.topology.total_cores());
-  sim::Simulation simulation(spec.machine);
+  NativeBackend(const ExperimentSpec& spec, const obs::ObsOptions& opt)
+      : spec_(spec),
+        opt_(opt),
+        env_(64),
+        rings_(opt.trace ? static_cast<std::size_t>(spec.threads) : 0) {
+    // The counter fds must exist before the worker threads do: inherit=1 on
+    // each fd makes threads spawned afterwards count into it.
+    if (opt.perf) {
+      perf_.emplace();
+      perf_out_.attempted = true;
+    }
+  }
+
+  ctx::NativeEnv& engine() { return env_; }
+  double clock_hz() const { return 1e9; }
+  std::uint64_t origin() const { return origin_; }
+  template <class Fn>
+  void preload(Fn fn) {
+    if (perf_) perf_->start();
+    fn();
+    sample_perf("preload");
+  }
+
+  /// Runs client(c, t) for every client t on its own thread.
+  template <class Client>
+  void run_clients(Client client) {
+    // One origin for every thread's trace timestamps, series windows and
+    // arrival schedules.
+    origin_ = util::monotonic_ns();
+    if (perf_) perf_->start();
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> workers;
+    for (int t = 0; t < spec_.threads; ++t) {
+      workers.emplace_back([&, t] {
+        Ctx c(env_, t);
+        if (!rings_.empty()) {
+          c.set_trace_ring(&rings_[static_cast<std::size_t>(t)], origin_);
+        }
+        client(c, t);
+      });
+    }
+    for (auto& w : workers) w.join();
+    const auto t1 = std::chrono::steady_clock::now();
+    seconds_ = std::chrono::duration<double>(t1 - t0).count();
+    sample_perf("measure");
+  }
+
+  static void idle_until(Ctx&, std::uint64_t target) {
+    while (util::monotonic_ns() < target) cpu_relax();
+  }
+
+  double seconds() const { return seconds_; }
+
+  /// Native-only results: latency and series windows are in wall
+  /// nanoseconds; trace rings and perf phases are handed over as recorded.
+  void finish(std::vector<obs::ThreadObs>& tobs, ExperimentResult* r) {
+    if (opt_.metrics_interval != 0) {
+      const std::uint64_t end_ts = util::monotonic_ns();
+      for (auto& to : tobs) to.series.finish(end_ts);
+      r->timeseries = obs::merge_series(opt_.metrics_interval, "ns", tobs);
+    }
+    if (!rings_.empty()) r->trace = obs::TraceStream(std::move(rings_));
+    r->perf = std::move(perf_out_);
+  }
+
+ private:
+  void sample_perf(const char* phase) {
+    if (!perf_) return;
+    perf_->stop();
+    perf_out_.phases.push_back(perf_->sample(phase));
+  }
+
+  const ExperimentSpec& spec_;
+  const obs::ObsOptions opt_;
+  ctx::NativeEnv env_;
+  std::vector<obs::EventRing> rings_;
+  std::optional<obs::PerfCounterGroup> perf_;
+  obs::PerfSample perf_out_;
+  std::uint64_t origin_ = 0;
+  double seconds_ = 0;
+};
+
+/// The one experiment runner: build the target, preload it, run every
+/// client's issue loop on the backend, then fold stats, goodput, memory and
+/// the obs channels into the result.
+template <class Backend>
+ExperimentResult run_experiment(const ExperimentSpec& spec) {
+  using Ctx = typename Backend::Ctx;
+  const obs::ObsOptions opt = obs::kCompiledIn ? spec.obs : obs::ObsOptions{};
+  Backend b(spec, opt);
   MemStats::instance().reset();
 
-  const obs::ObsOptions obs_opt =
-      obs::kCompiledIn ? spec.obs : obs::ObsOptions{};
-  obs::ContentionMap cmap;
-  obs::NodeRegistry node_reg;
-  if (obs_opt.contention) simulation.enable_contention(&cmap, &node_reg);
-  if (obs_opt.trace) simulation.enable_trace();
+  Ctx setup(b.engine(), 0);
+  Target<Ctx> target(spec, setup, b.clock_hz());
+  b.preload([&] { target.preload(setup); });
+
+  const auto n = static_cast<std::size_t>(spec.threads);
+  std::vector<ClientStreams> clients = make_client_streams(spec, b.clock_hz());
   std::vector<obs::ThreadObs> tobs(
-      obs_opt.latency || obs_opt.metrics_interval != 0
-          ? static_cast<std::size_t>(spec.threads)
-          : 0);
-
-  const trees::TreeEntry& entry = trees::tree_registry().expect(spec.tree);
-  trees::TreeBuildOptions build;
-  build.policy = spec.policy;
-  const store::StoreRuntime rt{spec.ghz * 1e9};
-  const bool bytes = spec.workload.key_domain == workload::KeyDomain::kBytes;
-  std::optional<workload::StringKeySpace> ks;
-  if (bytes) {
-    EUNO_ASSERT_MSG(entry.make_sim_str != nullptr,
-                    "tree has no bytes-domain factory");
-    ks.emplace(spec.workload.key_style, spec.workload.seed);
-  }
-  ctx::SimCtx setup(simulation, 0);
-  auto st = [&]() -> store::ShardedStore<ctx::SimCtx> {
-    if (bytes) {
-      return {setup, spec.store, rt,
-              [&](ctx::SimCtx& c) { return entry.make_sim_str(c, build); }};
+      opt.latency || opt.metrics_interval != 0 ? n : 0);
+  std::vector<ctx::SiteStats> stats(n);
+  std::vector<std::uint64_t> completed(n, 0);
+  b.run_clients([&](Ctx& c, int t) {
+    const auto i = static_cast<std::size_t>(t);
+    if (!tobs.empty()) {
+      tobs[i].series.configure(opt.metrics_interval, b.origin());
+      c.set_observer(&tobs[i]);
     }
-    return {setup, spec.store, rt,
-            [&](ctx::SimCtx& c) { return entry.make_sim(c, build); }};
-  }();
-  if (bytes) {
-    preload_store_str(st, setup, spec.workload, *ks, spec.preload,
-                      spec.preload_stride);
-  } else {
-    preload_store(st, setup, spec.workload, spec.preload, spec.preload_stride);
-  }
-
-  std::vector<ClientStreams> clients =
-      make_client_streams(spec, make_openloop(spec, rt.clock_hz));
-  std::vector<ctx::SiteStats> stats(static_cast<std::size_t>(spec.threads));
-  std::vector<std::uint64_t> completed(
-      static_cast<std::size_t>(spec.threads), 0);
-  for (int t = 0; t < spec.threads; ++t) {
-    simulation.spawn(t, [&, t](int core) {
-      ctx::SimCtx c(simulation, core);
-      if (!tobs.empty()) {
-        auto& to = tobs[static_cast<std::size_t>(t)];
-        to.series.configure(obs_opt.metrics_interval, 0);
-        c.set_observer(&to);
-      }
-      StoreExec<ctx::SimCtx, store::ShardedStore<ctx::SimCtx>> exec(
-          st, spec, ks ? &*ks : nullptr);
-      completed[static_cast<std::size_t>(t)] = run_store_ops(
-          c, spec, clients[static_cast<std::size_t>(t)], /*origin=*/0,
-          [&](std::uint64_t target) {
-            const std::uint64_t now = simulation.clock_of(core);
-            if (target > now) simulation.charge(target - now);
-          },
-          exec);
-      stats[static_cast<std::size_t>(t)] = c.stats();
-    });
-  }
-  simulation.run();
+    completed[i] = run_client(b, c, spec, clients[i], target);
+    stats[i] = c.stats();
+  });
 
   ExperimentResult r;
   r.ops = spec.ops_per_thread * static_cast<std::uint64_t>(spec.threads);
-  r.sim_cycles = simulation.max_clock();
-  const double seconds = static_cast<double>(r.sim_cycles) / (spec.ghz * 1e9);
   for (const auto& s : stats) aggregate_stats(s, &r);
   r.aborts_per_op =
       static_cast<double>(r.aborts_total) / static_cast<double>(r.ops);
   std::uint64_t total_completed = 0;
-  for (const auto n : completed) total_completed += n;
-  fold_store_totals(st.accumulate(), total_completed, seconds, &r);
-
-  r.sim_switches = simulation.switches();
-  std::uint64_t instr = 0, wasted = 0, clock_sum = 0;
-  for (int t = 0; t < spec.threads; ++t) {
-    instr += simulation.counters(t).instructions;
-    r.mem_accesses += simulation.counters(t).mem_accesses;
-    wasted += simulation.counters(t).cycles_wasted;
-    clock_sum += simulation.clock_of(t);
-  }
-  r.instructions_per_op =
-      static_cast<double>(instr) / static_cast<double>(r.ops);
-  r.wasted_cycle_frac =
-      clock_sum > 0
-          ? static_cast<double>(wasted) / static_cast<double>(clock_sum)
-          : 0;
+  for (const auto k : completed) total_completed += k;
+  target.fold(total_completed, b.seconds(), &r);
 
   auto& ms = MemStats::instance();
   r.mem_total = ms.tree_live_bytes();
@@ -476,398 +509,31 @@ ExperimentResult run_store_sim(const ExperimentSpec& spec) {
   r.mem_ccm = ms.snapshot(MemClass::kCCM).live_bytes;
   r.suffix_bytes = ms.snapshot(MemClass::kBytesBox).live_bytes;
 
-  finalize_obs(obs_opt, tobs, obs_opt.contention ? &cmap : nullptr, &node_reg,
-               &r);
-  if (obs_opt.trace) r.trace = simulation.take_trace();
-  if (obs_opt.metrics_interval != 0) {
-    for (int t = 0; t < spec.threads; ++t) {
-      tobs[static_cast<std::size_t>(t)].series.finish(simulation.clock_of(t));
+  if (opt.latency) {
+    for (const auto& t : tobs) {
+      r.op_latency.merge(t.op_latency);
+      r.abort_wasted.merge(t.abort_wasted);
     }
-    r.timeseries = obs::merge_series(obs_opt.metrics_interval, "cycles", tobs);
+    r.lat_p50 = static_cast<double>(r.op_latency.percentile(0.50));
+    r.lat_p90 = static_cast<double>(r.op_latency.percentile(0.90));
+    r.lat_p99 = static_cast<double>(r.op_latency.percentile(0.99));
+    r.lat_p999 = static_cast<double>(r.op_latency.percentile(0.999));
   }
+  b.finish(tobs, &r);
 
-  const sim::FaultCounters& fc = simulation.fault_counters();
-  r.faults_spurious = fc.spurious_aborts;
-  r.faults_burst = fc.burst_aborts;
-  r.faults_lock_delay = fc.lock_hold_delays;
-  r.fault_capacity_phases = fc.capacity_phases;
-
-  ctx::SimCtx teardown(simulation, 0);
-  st.destroy(teardown);
-  return r;
-}
-
-ExperimentResult run_store_native(const ExperimentSpec& spec) {
-  ctx::NativeEnv env(64);
-  MemStats::instance().reset();
-
-  const obs::ObsOptions obs_opt =
-      obs::kCompiledIn ? spec.obs : obs::ObsOptions{};
-  ExperimentResult r;
-  std::optional<obs::PerfCounterGroup> perf;
-  if (obs_opt.perf) {
-    perf.emplace();
-    r.perf.attempted = true;
-  }
-
-  const trees::TreeEntry& entry = trees::tree_registry().expect(spec.tree);
-  trees::TreeBuildOptions build;
-  build.policy = spec.policy;
-  const store::StoreRuntime rt{1e9};  // native clock: wall nanoseconds
-  const bool bytes = spec.workload.key_domain == workload::KeyDomain::kBytes;
-  std::optional<workload::StringKeySpace> ks;
-  if (bytes) {
-    EUNO_ASSERT_MSG(entry.make_native_str != nullptr,
-                    "tree has no bytes-domain factory");
-    ks.emplace(spec.workload.key_style, spec.workload.seed);
-  }
-  ctx::NativeCtx setup(env, 0);
-  auto st = [&]() -> store::ShardedStore<ctx::NativeCtx> {
-    if (bytes) {
-      return {setup, spec.store, rt,
-              [&](ctx::NativeCtx& c) { return entry.make_native_str(c, build); }};
-    }
-    return {setup, spec.store, rt,
-            [&](ctx::NativeCtx& c) { return entry.make_native(c, build); }};
-  }();
-  if (perf) perf->start();
-  if (bytes) {
-    preload_store_str(st, setup, spec.workload, *ks, spec.preload,
-                      spec.preload_stride);
-  } else {
-    preload_store(st, setup, spec.workload, spec.preload, spec.preload_stride);
-  }
-  if (perf) {
-    perf->stop();
-    r.perf.phases.push_back(perf->sample("preload"));
-  }
-
-  const bool thread_obs_on = obs_opt.latency || obs_opt.metrics_interval != 0;
-  std::vector<obs::ThreadObs> tobs(
-      thread_obs_on ? static_cast<std::size_t>(spec.threads) : 0);
-  std::vector<obs::EventRing> rings(
-      obs_opt.trace ? static_cast<std::size_t>(spec.threads) : 0);
-  std::vector<ctx::SiteStats> stats(static_cast<std::size_t>(spec.threads));
-  std::vector<std::uint64_t> completed(
-      static_cast<std::size_t>(spec.threads), 0);
-  std::vector<ClientStreams> clients =
-      make_client_streams(spec, make_openloop(spec, rt.clock_hz));
-  const std::uint64_t origin = util::monotonic_ns();
-  if (perf) perf->start();
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> workers;
-  for (int t = 0; t < spec.threads; ++t) {
-    workers.emplace_back([&, t] {
-      ctx::NativeCtx c(env, t);
-      if (!tobs.empty()) {
-        auto& to = tobs[static_cast<std::size_t>(t)];
-        to.series.configure(obs_opt.metrics_interval, origin);
-        c.set_observer(&to);
-      }
-      if (!rings.empty()) {
-        c.set_trace_ring(&rings[static_cast<std::size_t>(t)], origin);
-      }
-      StoreExec<ctx::NativeCtx, store::ShardedStore<ctx::NativeCtx>> exec(
-          st, spec, ks ? &*ks : nullptr);
-      completed[static_cast<std::size_t>(t)] = run_store_ops(
-          c, spec, clients[static_cast<std::size_t>(t)], origin,
-          [](std::uint64_t target) {
-            while (util::monotonic_ns() < target) cpu_relax();
-          },
-          exec);
-      stats[static_cast<std::size_t>(t)] = c.stats();
-    });
-  }
-  for (auto& w : workers) w.join();
-  const auto t1 = std::chrono::steady_clock::now();
-  if (perf) {
-    perf->stop();
-    r.perf.phases.push_back(perf->sample("measure"));
-  }
-
-  r.ops = spec.ops_per_thread * static_cast<std::uint64_t>(spec.threads);
-  const double seconds = std::chrono::duration<double>(t1 - t0).count();
-  for (const auto& s : stats) aggregate_stats(s, &r);
-  r.aborts_per_op =
-      static_cast<double>(r.aborts_total) / static_cast<double>(r.ops);
-  std::uint64_t total_completed = 0;
-  for (const auto n : completed) total_completed += n;
-  fold_store_totals(st.accumulate(), total_completed, seconds, &r);
-  auto& ms = MemStats::instance();
-  r.mem_total = ms.tree_live_bytes();
-  r.mem_reserved = ms.snapshot(MemClass::kReservedKeys).live_bytes;
-  r.mem_ccm = ms.snapshot(MemClass::kCCM).live_bytes;
-  r.suffix_bytes = ms.snapshot(MemClass::kBytesBox).live_bytes;
-
-  obs::ObsOptions native_opt{};
-  native_opt.latency = obs_opt.latency;
-  finalize_obs(native_opt, tobs, nullptr, nullptr, &r);
-  if (obs_opt.metrics_interval != 0) {
-    const std::uint64_t end_ts = util::monotonic_ns();
-    for (auto& to : tobs) to.series.finish(end_ts);
-    r.timeseries = obs::merge_series(obs_opt.metrics_interval, "ns", tobs);
-  }
-  if (!rings.empty()) r.trace = obs::TraceStream(std::move(rings));
-
-  ctx::NativeCtx teardown(env, 0);
-  st.destroy(teardown);
-  return r;
-}
-
-// run_sim_with / run_native_with are parameterized over three hooks so the
-// u64 and bytes key domains share one measurement harness: `make` builds the
-// (type-erased) tree, `preload(tree, ctx)` warms it, `work(tree, ctx, t)` is
-// one thread's measured op loop. Everything else — obs channels, stats
-// aggregation, mem accounting, teardown — is domain-independent.
-template <class MakeTree, class Preload, class Work>
-ExperimentResult run_sim_with(const ExperimentSpec& spec, MakeTree make,
-                              Preload preload, Work work) {
-  EUNO_ASSERT(spec.threads >= 1 &&
-              spec.threads <= spec.machine.topology.total_cores());
-  sim::Simulation simulation(spec.machine);
-  MemStats::instance().reset();
-
-  // Observability channels: enabled before the tree exists so node
-  // allocations register, but recording charges no simulated cycles — the
-  // machine model cannot see any of this.
-  const obs::ObsOptions obs_opt =
-      obs::kCompiledIn ? spec.obs : obs::ObsOptions{};
-  obs::ContentionMap cmap;
-  obs::NodeRegistry node_reg;
-  if (obs_opt.contention) simulation.enable_contention(&cmap, &node_reg);
-  if (obs_opt.trace) simulation.enable_trace();
-  std::vector<obs::ThreadObs> tobs(
-      obs_opt.latency || obs_opt.metrics_interval != 0
-          ? static_cast<std::size_t>(spec.threads)
-          : 0);
-
-  ctx::SimCtx setup(simulation, 0);
-  auto tree_owner = make(setup);
-  auto& tree = *tree_owner;
-  preload(tree, setup);
-
-  std::vector<ctx::SiteStats> stats(static_cast<std::size_t>(spec.threads));
-  for (int t = 0; t < spec.threads; ++t) {
-    simulation.spawn(t, [&, t](int core) {
-      ctx::SimCtx c(simulation, core);
-      if (!tobs.empty()) {
-        auto& to = tobs[static_cast<std::size_t>(t)];
-        // Sim windows are in simulated cycles; every core's clock starts
-        // at 0, so the series origin is 0.
-        to.series.configure(obs_opt.metrics_interval, 0);
-        c.set_observer(&to);
-      }
-      work(tree, c, t);
-      stats[static_cast<std::size_t>(t)] = c.stats();
-    });
-  }
-  simulation.run();
-
-  ExperimentResult r;
-  r.ops = spec.ops_per_thread * static_cast<std::uint64_t>(spec.threads);
-  r.sim_cycles = simulation.max_clock();
-  const double seconds = static_cast<double>(r.sim_cycles) / (spec.ghz * 1e9);
-  r.throughput_mops = seconds > 0 ? static_cast<double>(r.ops) / seconds / 1e6 : 0;
-  for (const auto& s : stats) aggregate_stats(s, &r);
-  r.aborts_per_op =
-      static_cast<double>(r.aborts_total) / static_cast<double>(r.ops);
-
-  r.sim_switches = simulation.switches();
-  std::uint64_t instr = 0, wasted = 0, clock_sum = 0;
-  for (int t = 0; t < spec.threads; ++t) {
-    instr += simulation.counters(t).instructions;
-    r.mem_accesses += simulation.counters(t).mem_accesses;
-    wasted += simulation.counters(t).cycles_wasted;
-    clock_sum += simulation.clock_of(t);
-  }
-  r.instructions_per_op = static_cast<double>(instr) / static_cast<double>(r.ops);
-  r.wasted_cycle_frac =
-      clock_sum > 0 ? static_cast<double>(wasted) / static_cast<double>(clock_sum)
-                    : 0;
-
-  auto& ms = MemStats::instance();
-  r.mem_total = ms.tree_live_bytes();
-  r.mem_reserved = ms.snapshot(MemClass::kReservedKeys).live_bytes;
-  r.mem_ccm = ms.snapshot(MemClass::kCCM).live_bytes;
-  r.suffix_bytes = ms.snapshot(MemClass::kBytesBox).live_bytes;
-
-  finalize_obs(obs_opt, tobs, obs_opt.contention ? &cmap : nullptr, &node_reg,
-               &r);
-  if (obs_opt.trace) r.trace = simulation.take_trace();
-  if (obs_opt.metrics_interval != 0) {
-    for (int t = 0; t < spec.threads; ++t) {
-      tobs[static_cast<std::size_t>(t)].series.finish(simulation.clock_of(t));
-    }
-    r.timeseries = obs::merge_series(obs_opt.metrics_interval, "cycles", tobs);
-  }
-
-  const sim::FaultCounters& fc = simulation.fault_counters();
-  r.faults_spurious = fc.spurious_aborts;
-  r.faults_burst = fc.burst_aborts;
-  r.faults_lock_delay = fc.lock_hold_delays;
-  r.fault_capacity_phases = fc.capacity_phases;
-
-  ctx::SimCtx teardown(simulation, 0);
-  tree.destroy(teardown);
-  return r;
-}
-
-template <class MakeTree, class Preload, class Work>
-ExperimentResult run_native_with(const ExperimentSpec& spec, MakeTree make,
-                                 Preload preload, Work work) {
-  ctx::NativeEnv env(64);
-  MemStats::instance().reset();
-
-  // Native obs channels: latency histograms, per-thread event rings
-  // (obs.trace), windowed time-series (obs.metrics_interval) and perf
-  // counters (obs.perf). Contention attribution stays sim-only.
-  const obs::ObsOptions obs_opt =
-      obs::kCompiledIn ? spec.obs : obs::ObsOptions{};
-  ExperimentResult r;
-  // The counter fds must exist before the worker threads do: inherit=1 on
-  // each fd makes threads spawned afterwards count into it.
-  std::optional<obs::PerfCounterGroup> perf;
-  if (obs_opt.perf) {
-    perf.emplace();
-    r.perf.attempted = true;
-  }
-
-  ctx::NativeCtx setup(env, 0);
-  auto tree_owner = make(setup);
-  auto& tree = *tree_owner;
-  if (perf) perf->start();
-  preload(tree, setup);
-  if (perf) {
-    perf->stop();
-    r.perf.phases.push_back(perf->sample("preload"));
-  }
-
-  const bool thread_obs_on = obs_opt.latency || obs_opt.metrics_interval != 0;
-  std::vector<obs::ThreadObs> tobs(
-      thread_obs_on ? static_cast<std::size_t>(spec.threads) : 0);
-  std::vector<obs::EventRing> rings(
-      obs_opt.trace ? static_cast<std::size_t>(spec.threads) : 0);
-  std::vector<ctx::SiteStats> stats(static_cast<std::size_t>(spec.threads));
-  // One origin for every thread's trace timestamps and series windows.
-  const std::uint64_t origin = util::monotonic_ns();
-  if (perf) perf->start();
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> workers;
-  for (int t = 0; t < spec.threads; ++t) {
-    workers.emplace_back([&, t] {
-      ctx::NativeCtx c(env, t);
-      if (!tobs.empty()) {
-        auto& to = tobs[static_cast<std::size_t>(t)];
-        to.series.configure(obs_opt.metrics_interval, origin);
-        c.set_observer(&to);
-      }
-      if (!rings.empty()) {
-        c.set_trace_ring(&rings[static_cast<std::size_t>(t)], origin);
-      }
-      work(tree, c, t);
-      stats[static_cast<std::size_t>(t)] = c.stats();
-    });
-  }
-  for (auto& w : workers) w.join();
-  const auto t1 = std::chrono::steady_clock::now();
-  if (perf) {
-    perf->stop();
-    r.perf.phases.push_back(perf->sample("measure"));
-  }
-
-  r.ops = spec.ops_per_thread * static_cast<std::uint64_t>(spec.threads);
-  const double seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.throughput_mops = seconds > 0 ? static_cast<double>(r.ops) / seconds / 1e6 : 0;
-  for (const auto& s : stats) aggregate_stats(s, &r);
-  r.aborts_per_op =
-      static_cast<double>(r.aborts_total) / static_cast<double>(r.ops);
-  auto& ms = MemStats::instance();
-  r.mem_total = ms.tree_live_bytes();
-  r.mem_reserved = ms.snapshot(MemClass::kReservedKeys).live_bytes;
-  r.mem_ccm = ms.snapshot(MemClass::kCCM).live_bytes;
-  r.suffix_bytes = ms.snapshot(MemClass::kBytesBox).live_bytes;
-
-  // Native runs have no simulated clock: latency percentiles and series
-  // windows come out in wall nanoseconds; contention attribution is sim-only.
-  obs::ObsOptions native_opt{};
-  native_opt.latency = obs_opt.latency;
-  finalize_obs(native_opt, tobs, nullptr, nullptr, &r);
-  if (obs_opt.metrics_interval != 0) {
-    const std::uint64_t end_ts = util::monotonic_ns();
-    for (auto& to : tobs) to.series.finish(end_ts);
-    r.timeseries = obs::merge_series(obs_opt.metrics_interval, "ns", tobs);
-  }
-  if (!rings.empty()) r.trace = obs::TraceStream(std::move(rings));
-
-  ctx::NativeCtx teardown(env, 0);
-  tree.destroy(teardown);
+  Ctx teardown(b.engine(), 0);
+  target.destroy(teardown);
   return r;
 }
 
 }  // namespace
 
 ExperimentResult run_sim_experiment(const ExperimentSpec& spec) {
-  if (spec.store.enabled()) return run_store_sim(spec);
-  const trees::TreeEntry& entry = trees::tree_registry().expect(spec.tree);
-  trees::TreeBuildOptions opt;
-  opt.policy = spec.policy;
-  if (spec.workload.key_domain == workload::KeyDomain::kBytes) {
-    EUNO_ASSERT_MSG(entry.make_sim_str != nullptr,
-                    "tree has no bytes-domain factory");
-    workload::StringKeySpace ks(spec.workload.key_style, spec.workload.seed);
-    return run_sim_with(
-        spec, [&](ctx::SimCtx& c) { return entry.make_sim_str(c, opt); },
-        [&](auto& tree, ctx::SimCtx& c) {
-          preload_tree_str(tree, c, spec.workload, ks, spec.preload,
-                           spec.preload_stride);
-        },
-        [&](auto& tree, ctx::SimCtx& c, int t) {
-          OpStream stream(spec.workload, t);
-          run_ops_str(tree, c, stream, ks, spec.ops_per_thread,
-                      spec.workload.scan_len, spec.workload.value_bytes);
-        });
-  }
-  return run_sim_with(
-      spec, [&](ctx::SimCtx& c) { return entry.make_sim(c, opt); },
-      [&](auto& tree, ctx::SimCtx& c) {
-        preload_tree(tree, c, spec.workload, spec.preload, spec.preload_stride);
-      },
-      [&](auto& tree, ctx::SimCtx& c, int t) {
-        OpStream stream(spec.workload, t);
-        run_ops(tree, c, stream, spec.ops_per_thread, spec.workload.scan_len);
-      });
+  return run_experiment<SimBackend>(spec);
 }
 
 ExperimentResult run_native_experiment(const ExperimentSpec& spec) {
-  if (spec.store.enabled()) return run_store_native(spec);
-  const trees::TreeEntry& entry = trees::tree_registry().expect(spec.tree);
-  trees::TreeBuildOptions opt;
-  opt.policy = spec.policy;
-  if (spec.workload.key_domain == workload::KeyDomain::kBytes) {
-    EUNO_ASSERT_MSG(entry.make_native_str != nullptr,
-                    "tree has no bytes-domain factory");
-    workload::StringKeySpace ks(spec.workload.key_style, spec.workload.seed);
-    return run_native_with(
-        spec, [&](ctx::NativeCtx& c) { return entry.make_native_str(c, opt); },
-        [&](auto& tree, ctx::NativeCtx& c) {
-          preload_tree_str(tree, c, spec.workload, ks, spec.preload,
-                           spec.preload_stride);
-        },
-        [&](auto& tree, ctx::NativeCtx& c, int t) {
-          OpStream stream(spec.workload, t);
-          run_ops_str(tree, c, stream, ks, spec.ops_per_thread,
-                      spec.workload.scan_len, spec.workload.value_bytes);
-        });
-  }
-  return run_native_with(
-      spec, [&](ctx::NativeCtx& c) { return entry.make_native(c, opt); },
-      [&](auto& tree, ctx::NativeCtx& c) {
-        preload_tree(tree, c, spec.workload, spec.preload, spec.preload_stride);
-      },
-      [&](auto& tree, ctx::NativeCtx& c, int t) {
-        OpStream stream(spec.workload, t);
-        run_ops(tree, c, stream, spec.ops_per_thread, spec.workload.scan_len);
-      });
+  return run_experiment<NativeBackend>(spec);
 }
 
 }  // namespace euno::driver

@@ -4,6 +4,9 @@
 // count; run_sim_experiment executes it on the simulated multicore and
 // returns throughput, abort decomposition, instruction counts and memory
 // figures — the quantities the paper's figures are built from.
+// run_native_experiment runs the same spec with real threads. Both share one
+// runner: a target (one tree, or a sharded store when spec.store is on),
+// one client loop, and a sim or native backend owning engine, clock and obs.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +69,10 @@ struct ExperimentSpec {
 struct ExperimentResult {
   std::uint64_t ops = 0;
   std::uint64_t sim_cycles = 0;
-  double throughput_mops = 0;   // million ops per simulated second
+  /// Goodput: million *completed* ops per second — simulated seconds on the
+  /// sim engine, wall-clock seconds on native. Equals ops / seconds unless a
+  /// store sheds ops or sees them miss their deadlines.
+  double throughput_mops = 0;
   double aborts_per_op = 0;
   std::uint64_t commits = 0;
   std::uint64_t attempts = 0;

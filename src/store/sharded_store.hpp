@@ -58,7 +58,64 @@ struct OpResult {
   StoreStatus status = StoreStatus::kOk;
   trees::Value value = 0;        // get result when status == kOk
   std::size_t scanned = 0;       // scan result count
+
+  /// The op completed (a get or erase of an absent key still counts).
+  bool served() const {
+    return status == StoreStatus::kOk || status == StoreStatus::kNotFound;
+  }
 };
+
+/// One workload op against one tree: the per-op dispatch shared by
+/// ShardedStore::execute and the driver's single-tree runs. A get or erase
+/// of an absent key reports kNotFound. `scan_buf` must hold at least
+/// op.scan_len entries.
+template <class Ctx>
+OpResult run_tree_op(trees::AnyTree<Ctx>& tree, Ctx& c, const workload::Op& op,
+                     trees::KV* scan_buf) {
+  OpResult res;
+  switch (op.type) {
+    case workload::OpType::kGet:
+      if (!tree.get(c, op.key, &res.value)) res.status = StoreStatus::kNotFound;
+      break;
+    case workload::OpType::kPut:
+      tree.put(c, op.key, op.value);
+      break;
+    case workload::OpType::kScan:
+      res.scanned = tree.scan(c, op.key, op.scan_len, scan_buf);
+      break;
+    case workload::OpType::kDelete:
+      if (!tree.erase(c, op.key)) res.status = StoreStatus::kNotFound;
+      break;
+  }
+  return res;
+}
+
+/// Bytes-domain twin of run_tree_op (ShardedStore::execute_str and the
+/// driver's single-tree bytes runs): `emit` receives scan records while
+/// their views are valid.
+template <class Ctx>
+OpResult run_str_tree_op(trees::AnyStrTree<Ctx>& tree, Ctx& c,
+                         workload::OpType type, trees::node::BytesView key,
+                         trees::Value value, trees::node::BytesView payload,
+                         std::uint32_t scan_len,
+                         const trees::node::StrEmitFn& emit) {
+  OpResult res;
+  switch (type) {
+    case workload::OpType::kGet:
+      if (!tree.get(c, key, &res.value)) res.status = StoreStatus::kNotFound;
+      break;
+    case workload::OpType::kPut:
+      tree.put(c, key, value, payload);
+      break;
+    case workload::OpType::kScan:
+      res.scanned = tree.scan(c, key, scan_len, emit);
+      break;
+    case workload::OpType::kDelete:
+      if (!tree.erase(c, key)) res.status = StoreStatus::kNotFound;
+      break;
+  }
+  return res;
+}
 
 /// Per-run store counters, summed over shards by accumulate().
 struct StoreTotals {
@@ -140,24 +197,8 @@ class ShardedStore {
   OpResult execute(Ctx& c, const workload::Op& op, std::uint64_t scheduled,
                    trees::KV* scan_buf) {
     Shard& sh = *shards_[static_cast<std::size_t>(shard_of(op.key))];
-    return run_admitted(c, sh, scheduled, [&](OpResult& res) {
-      switch (op.type) {
-        case workload::OpType::kGet:
-          if (!sh.tree->get(c, op.key, &res.value)) {
-            res.status = StoreStatus::kNotFound;
-          }
-          break;
-        case workload::OpType::kPut:
-          sh.tree->put(c, op.key, op.value);
-          break;
-        case workload::OpType::kScan:
-          res.scanned = sh.tree->scan(c, op.key, op.scan_len, scan_buf);
-          break;
-        case workload::OpType::kDelete:
-          if (!sh.tree->erase(c, op.key)) res.status = StoreStatus::kNotFound;
-          break;
-      }
-    });
+    return run_admitted(c, sh, scheduled,
+                        [&] { return run_tree_op(*sh.tree, c, op, scan_buf); });
   }
 
   /// Bytes-domain execute: same admission/deadline flow against the shard's
@@ -170,23 +211,9 @@ class ShardedStore {
                        std::uint64_t scheduled,
                        const trees::node::StrEmitFn& emit) {
     Shard& sh = *shards_[static_cast<std::size_t>(shard_of_str(key))];
-    return run_admitted(c, sh, scheduled, [&](OpResult& res) {
-      switch (type) {
-        case workload::OpType::kGet:
-          if (!sh.str_tree->get(c, key, &res.value)) {
-            res.status = StoreStatus::kNotFound;
-          }
-          break;
-        case workload::OpType::kPut:
-          sh.str_tree->put(c, key, value, payload);
-          break;
-        case workload::OpType::kScan:
-          res.scanned = sh.str_tree->scan(c, key, scan_len, emit);
-          break;
-        case workload::OpType::kDelete:
-          if (!sh.str_tree->erase(c, key)) res.status = StoreStatus::kNotFound;
-          break;
-      }
+    return run_admitted(c, sh, scheduled, [&] {
+      return run_str_tree_op(*sh.str_tree, c, type, key, value, payload,
+                             scan_len, emit);
     });
   }
 
@@ -283,9 +310,9 @@ class ShardedStore {
   /// around a domain-specific tree dispatch. Factoring this out is what keeps
   /// the u64 and bytes paths behaviorally identical at the service layer —
   /// one shedding/overload policy, two key domains.
-  template <class RunTreeOp>
+  template <class TreeOp>
   OpResult run_admitted(Ctx& c, Shard& sh, std::uint64_t scheduled,
-                        RunTreeOp run_tree_op) {
+                        TreeOp tree_op) {
     OpResult res;
     const std::uint64_t deadline =
         deadline_units_ != 0 ? scheduled + deadline_units_ : 0;
@@ -341,7 +368,7 @@ class ShardedStore {
     // 3. Execution, with the context deadline armed across the tree op.
     if (deadline != 0) c.set_deadline(deadline);
     try {
-      run_tree_op(res);
+      res = tree_op();
     } catch (const ctx::DeadlineExceeded&) {
       // The retry loop already counted it (TxStats::deadline_exceeded) and
       // threw from a point holding no lock and no open transaction; the op
