@@ -18,13 +18,13 @@ namespace {
 
 struct PairedRun {
   /// The comparison subject (Euno by default; --tree swaps it).
-  driver::TreeKind subject = driver::TreeKind::kEuno;
+  std::string subject = "euno";
   std::vector<driver::ExperimentSpec> specs;  // baseline/subject interleaved
   std::vector<std::pair<std::string, std::string>> labels;  // (knob, value)
 
   void add(driver::ExperimentSpec spec, const std::string& knob,
            const std::string& value) {
-    spec.tree = driver::TreeKind::kHtmBPTree;
+    spec.tree = "htm-bptree";
     specs.push_back(spec);
     spec.tree = subject;
     specs.push_back(spec);
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   stats::Table table({"knob", "value", "base_mops", "base_ab/op", "euno_mops",
                       "euno_ab/op", "euno/base"});
   PairedRun runs;
-  runs.subject = bench::selected_tree_kind(args, driver::TreeKind::kEuno);
+  runs.subject = bench::selected_tree_kind(args, "euno");
 
   for (std::uint32_t pct : args.quick ? std::vector<std::uint32_t>{0, 50}
                                       : std::vector<std::uint32_t>{0, 25, 50,

@@ -3,9 +3,9 @@
 //       enough, and what it costs when contention is low;
 //   (b) the write scheduler's retry threshold (Algorithm 3's `threshold`);
 //   (c) the adaptive detector's window and trigger threshold.
-#include "core/euno_tree.hpp"
 #include "ctx/sim_ctx.hpp"
 #include "fig_common.hpp"
+#include "trees/algo/euno_bptree.hpp"
 #include "workload/ycsb.hpp"
 
 using namespace euno;
@@ -21,7 +21,7 @@ template <int S>
 RunResult run_euno(const driver::ExperimentSpec& spec, core::EunoConfig cfg) {
   sim::Simulation simulation(spec.machine);
   ctx::SimCtx setup(simulation, 0);
-  core::EunoBPTree<ctx::SimCtx, 16, S> tree(setup, cfg);
+  trees::algo::EunoBPTree<ctx::SimCtx, 16, S> tree(setup, cfg);
   Xoshiro256 pre(spec.workload.seed ^ 0x9e3779b97f4a7c15ull);
   for (std::uint64_t i = 0; i < spec.preload; ++i) {
     tree.put(setup, i * spec.preload_stride, pre.next());
@@ -72,7 +72,7 @@ RunResult run_for_segments(int s, const driver::ExperimentSpec& spec,
 int main(int argc, char** argv) {
   const auto args = stats::BenchArgs::parse(argc, argv);
   bench::restrict_tree_selection(
-      args, {driver::TreeKind::kEuno},
+      args, {"euno"},
       "this bench ablates Euno-B+Tree internals (S, scheduler, adaptive)");
   auto spec = bench::figure_spec(args);
   if (args.ops_per_thread == 0) spec.ops_per_thread = 1500;

@@ -4,10 +4,9 @@
 // figures hide: the retry/fallback cascade of the monolithic baseline, and
 // Euno's detector engaging the CCM on hot leaves early in the run and then
 // holding the abort rate flat.
-#include "core/euno_tree.hpp"
 #include "ctx/sim_ctx.hpp"
 #include "fig_common.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
+#include "trees/factories.hpp"
 #include "workload/ycsb.hpp"
 
 using namespace euno;
@@ -91,7 +90,7 @@ int main(int argc, char** argv) {
   auto cfg = core::EunoConfig::full();
   const auto euno = run_traced(
       spec,
-      [&](ctx::SimCtx& c) { return core::EunoBPTree<ctx::SimCtx>(c, cfg); },
+      [&](ctx::SimCtx& c) { return trees::algo::EunoBPTree<ctx::SimCtx>(c, cfg); },
       n_buckets);
 
   stats::Table table({"window", "base_aborts", "base_fallbacks", "euno_aborts",

@@ -69,11 +69,16 @@ inline driver::ExperimentSpec figure_spec(const stats::BenchArgs& args) {
   return spec;
 }
 
+/// Table/manifest name of a tree slug (the registered entry's display).
+inline const std::string& display_name(const std::string& slug) {
+  return trees::tree_registry().expect(slug).display;
+}
+
 /// Short per-sweep-point label used for trace process names and manifests.
 inline std::string point_label(const driver::ExperimentSpec& s) {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "%s %dt %s=%.2f",
-                driver::tree_kind_name(s.tree).c_str(), s.threads,
+                display_name(s.tree).c_str(), s.threads,
                 workload::dist_kind_name(s.workload.dist).c_str(),
                 s.workload.dist_param);
   return buf;
@@ -148,7 +153,7 @@ inline void print_hot_lines(const char* what,
 [[noreturn]] inline void unknown_tree_exit(const std::string& name) {
   std::fprintf(stderr, "unknown tree '%s'; registered trees:\n", name.c_str());
   for (const auto& e : trees::tree_registry().entries()) {
-    std::fprintf(stderr, "  %-14s %s\n", e.name.c_str(), e.display.c_str());
+    std::fprintf(stderr, "  %-14s %s\n", e.kind.c_str(), e.display.c_str());
   }
   std::exit(2);
 }
@@ -162,18 +167,18 @@ inline const trees::TreeEntry* selected_tree(const stats::BenchArgs& args) {
   return e;
 }
 
-/// The kinds a sweep should run: the single `--tree=` selection when given,
+/// The slugs a sweep should run: the single `--tree=` selection when given,
 /// otherwise the bench's default list.
-inline std::vector<driver::TreeKind> selected_tree_kinds(
-    const stats::BenchArgs& args, std::vector<driver::TreeKind> defaults) {
+inline std::vector<std::string> selected_tree_kinds(
+    const stats::BenchArgs& args, std::vector<std::string> defaults) {
   const trees::TreeEntry* e = selected_tree(args);
   if (e != nullptr) return {e->kind};
   return defaults;
 }
 
 /// Single-tree benches: the `--tree=` selection when given, else the default.
-inline driver::TreeKind selected_tree_kind(const stats::BenchArgs& args,
-                                           driver::TreeKind default_kind) {
+inline std::string selected_tree_kind(const stats::BenchArgs& args,
+                                      const std::string& default_kind) {
   const trees::TreeEntry* e = selected_tree(args);
   return e != nullptr ? e->kind : default_kind;
 }
@@ -184,29 +189,36 @@ inline driver::TreeKind selected_tree_kind(const stats::BenchArgs& args,
 /// bench's reason. Returns the selection (nullptr when the flag was absent).
 inline const trees::TreeEntry* restrict_tree_selection(
     const stats::BenchArgs& args,
-    std::initializer_list<driver::TreeKind> supported, const char* why) {
+    std::initializer_list<const char*> supported, const char* why) {
   const trees::TreeEntry* e = selected_tree(args);
   if (e == nullptr) return nullptr;
-  for (driver::TreeKind k : supported) {
-    if (k == e->kind) return e;
+  for (const char* k : supported) {
+    if (e->kind == k) return e;
   }
   std::fprintf(stderr, "--tree=%s is not supported by this bench: %s\n",
-               e->name.c_str(), why);
+               e->kind.c_str(), why);
   std::exit(2);
 }
 
-/// The default figure sweep rows, registry-driven: every tree registered
-/// with caps.figure_default, in registration order.
-inline std::vector<driver::TreeKind> figure_tree_kinds() {
-  std::vector<driver::TreeKind> kinds;
+/// Registry-driven sweep rows: the slug of every tree whose caps pass
+/// `member` (e.g. &TreeCaps::figure_default), in registration order.
+inline std::vector<std::string> registered_tree_kinds(
+    bool trees::TreeCaps::*member) {
+  std::vector<std::string> kinds;
   for (const auto& e : trees::tree_registry().entries()) {
-    if (e.caps.figure_default) kinds.push_back(e.kind);
+    if (e.caps.*member) kinds.push_back(e.kind);
   }
   return kinds;
 }
 
+/// The default figure sweep rows: every tree registered with
+/// caps.figure_default.
+inline std::vector<std::string> figure_tree_kinds() {
+  return registered_tree_kinds(&trees::TreeCaps::figure_default);
+}
+
 /// figure_tree_kinds with the uniform `--tree=` narrowing applied.
-inline std::vector<driver::TreeKind> figure_tree_kinds(
+inline std::vector<std::string> figure_tree_kinds(
     const stats::BenchArgs& args) {
   return selected_tree_kinds(args, figure_tree_kinds());
 }

@@ -64,7 +64,7 @@ driver::ExperimentSpec hardened(driver::ExperimentSpec s, double sat_mops,
 int main(int argc, char** argv) {
   const auto args = stats::BenchArgs::parse(argc, argv);
   auto base = bench::figure_spec(args);
-  base.tree = bench::selected_tree_kind(args, driver::TreeKind::kEuno);
+  base.tree = bench::selected_tree_kind(args, "euno");
   base.store.shards = args.store_shards != 0 ? args.store_shards : 8;
   if (args.ops_per_thread == 0) base.ops_per_thread = args.quick ? 1000 : 3000;
   bench::print_header("Latency under load",

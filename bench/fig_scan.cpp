@@ -25,14 +25,14 @@ using namespace euno;
 namespace {
 
 struct Point {
-  driver::TreeKind tree{};
+  std::string tree;
   workload::KeyStyle style{};
 };
 
 /// Bytes-capable trees, registry-driven (caps.key_domain == kBytes), with
 /// the uniform `--tree=` narrowing applied on top.
-std::vector<driver::TreeKind> scan_tree_kinds(const stats::BenchArgs& args) {
-  std::vector<driver::TreeKind> kinds;
+std::vector<std::string> scan_tree_kinds(const stats::BenchArgs& args) {
+  std::vector<std::string> kinds;
   for (const auto& e : trees::tree_registry().entries()) {
     if (e.caps.key_domain == trees::KeyDomain::kBytes) kinds.push_back(e.kind);
   }
@@ -42,7 +42,7 @@ std::vector<driver::TreeKind> scan_tree_kinds(const stats::BenchArgs& args) {
       std::fprintf(stderr,
                    "--tree=%s has no bytes-domain support; this bench runs "
                    "string-key trees\n",
-                   sel->name.c_str());
+                   sel->kind.c_str());
       std::exit(2);
     }
     return {sel->kind};
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
       args.ops_per_thread ? args.ops_per_thread : (args.quick ? 400 : 2000);
   base.threads = args.quick ? 8 : 16;
 
-  const std::vector<driver::TreeKind> kinds = scan_tree_kinds(args);
+  const std::vector<std::string> kinds = scan_tree_kinds(args);
   const std::vector<workload::KeyStyle> styles =
       bytes ? std::vector<workload::KeyStyle>{workload::KeyStyle::kUrl,
                                               workload::KeyStyle::kUuid}
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
 
   std::vector<Point> points;
   std::vector<driver::ExperimentSpec> specs;
-  for (const auto k : kinds) {
+  for (const auto& k : kinds) {
     for (const auto st : styles) {
       driver::ExperimentSpec s = base;
       s.tree = k;
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& r = results[i];
     table.add_row(
-        {driver::tree_kind_name(points[i].tree),
+        {bench::display_name(points[i].tree),
          bytes ? workload::key_style_name(points[i].style) : "u64-codec",
          stats::Table::num(r.throughput_mops), stats::Table::num(r.aborts_per_op),
          stats::Table::num(r.fallbacks), stats::Table::num(r.suffix_bytes / 1024),
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
       base.ops_per_thread * static_cast<std::uint64_t>(base.threads);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& r = results[i];
-    const std::string label = driver::tree_kind_name(points[i].tree);
+    const std::string label = bench::display_name(points[i].tree);
     if (r.ops != want_ops) {
       std::fprintf(stderr, "fig_scan: %s completed %llu ops, expected %llu\n",
                    label.c_str(), static_cast<unsigned long long>(r.ops),

@@ -1,15 +1,18 @@
 // Schedule-exploration driver for the linearizability harness (src/check).
 //
-// Sweeps tree kinds under random-preemption schedules (optionally with
+// Sweeps trees under random-preemption schedules (optionally with
 // tx-begin preemption and abort-storm injection) or walks the bounded
 // systematic schedule tree, checking every recorded history. Violations
 // print a minimal counterexample plus a --replay spec string that reproduces
 // the exact run (workload seed + schedule policy); the exit status is
 // nonzero when any violation was found, so the binary doubles as a CI gate.
 //
+// Trees are named by slug: a registered tree or one of the unregistered
+// variants of trees/variants.hpp; --trees=all sweeps them all.
+//
 //   lin_explore --trees=all --mode=rand --seeds=16 --jobs=auto
-//   lin_explore --mode=sys --trees=EunoS2 --threads=2 --ops=3 --budget=1
-//   lin_explore --replay='kind=EunoS4;pattern=splitrace;...;sched=rand,seed=9'
+//   lin_explore --mode=sys --trees=euno-s2-markbits --threads=2 --ops=3 --budget=1
+//   lin_explore --replay='tree=euno-markbits;pattern=splitrace;...;sched=rand,seed=9'
 //   lin_explore --history=hist.json   # dump euno.history.v1 for validation
 #include <cstdio>
 #include <cstring>
@@ -21,11 +24,11 @@
 #include "check/harness.hpp"
 #include "driver/parallel.hpp"
 #include "stats/report.hpp"
+#include "trees/variants.hpp"
 
 namespace {
 
 using euno::check::ExploreOptions;
-using euno::check::LinKind;
 using euno::check::LinPattern;
 using euno::check::LinRun;
 using euno::check::LinSpec;
@@ -33,7 +36,7 @@ using euno::check::ScheduleExplorer;
 using euno::sim::SchedulePolicy;
 
 struct Options {
-  std::vector<LinKind> trees{LinKind::kEunoS4};
+  std::vector<std::string> trees{"euno-markbits"};
   LinPattern pattern = LinPattern::kUniformMix;
   SchedulePolicy::Mode mode = SchedulePolicy::Mode::kRandom;
   std::uint64_t seeds = 8;
@@ -48,7 +51,6 @@ struct Options {
   std::uint64_t wseed = 1;
   std::uint32_t budget = 1;         // sys: max preemptions
   std::uint64_t max_schedules = 64; // sys: schedule cap
-  bool adaptive = false;
   int jobs = 1;
   bool csv = false;
   std::string history_path;
@@ -58,14 +60,22 @@ struct Options {
 [[noreturn]] void usage_and_exit(const char* bad) {
   if (bad != nullptr) std::fprintf(stderr, "lin_explore: bad argument '%s'\n", bad);
   std::fprintf(stderr,
-               "usage: lin_explore [--trees=all|K1,K2,..] [--pattern=mix|splitrace]\n"
+               "usage: lin_explore [--trees=all|SLUG,..] [--pattern=mix|splitrace]\n"
                "                   [--mode=rand|sys|det] [--seeds=N] [--seed0=S]\n"
                "                   [--preempt=P] [--txpreempt] [--storm=P]\n"
                "                   [--threads=N] [--ops=N] [--keys=N] [--preload=N]\n"
-               "                   [--wseed=S] [--adaptive] [--budget=N]\n"
+               "                   [--wseed=S] [--budget=N]\n"
                "                   [--max-schedules=N] [--jobs=N|auto] [--csv]\n"
                "                   [--history=FILE] [--replay=SPEC]\n");
   std::exit(2);
+}
+
+const euno::trees::TreeEntry* find_tree(const std::string& slug) {
+  return euno::trees::find_tree(euno::trees::checked_trees(), slug);
+}
+
+LinRun run_lin(const LinSpec& spec) {
+  return euno::check::run_lin(spec, find_tree(spec.tree)->make_sim);
 }
 
 bool parse_u64_flag(const std::string& v, std::uint64_t* out) {
@@ -86,15 +96,17 @@ Options parse(int argc, char** argv) {
     if (key == "--trees") {
       o.trees.clear();
       if (val == "all") {
-        for (LinKind k : euno::check::kAllLinKinds) o.trees.push_back(k);
+        for (const auto& e : euno::trees::checked_trees()) {
+          o.trees.push_back(e.kind);
+        }
       } else {
         std::size_t pos = 0;
         while (pos <= val.size()) {
           std::size_t comma = val.find(',', pos);
           if (comma == std::string::npos) comma = val.size();
-          const auto k = euno::check::lin_kind_parse(val.substr(pos, comma - pos));
-          if (!k) usage_and_exit(argv[i]);
-          o.trees.push_back(*k);
+          std::string slug = val.substr(pos, comma - pos);
+          if (find_tree(slug) == nullptr) usage_and_exit(argv[i]);
+          o.trees.push_back(std::move(slug));
           pos = comma + 1;
           if (pos > val.size()) break;
         }
@@ -129,8 +141,6 @@ Options parse(int argc, char** argv) {
       o.preload = n;
     } else if (key == "--wseed" && parse_u64_flag(val, &n)) {
       o.wseed = n;
-    } else if (key == "--adaptive" && eq == std::string::npos) {
-      o.adaptive = true;
     } else if (key == "--budget" && parse_u64_flag(val, &n)) {
       o.budget = static_cast<std::uint32_t>(n);
     } else if (key == "--max-schedules" && parse_u64_flag(val, &n)) {
@@ -156,10 +166,9 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-LinSpec base_spec(const Options& o, LinKind kind) {
+LinSpec base_spec(const Options& o, const std::string& tree) {
   LinSpec s;
-  s.kind = kind;
-  s.adaptive = o.adaptive;
+  s.tree = tree;
   s.pattern = o.pattern;
   s.threads = o.threads;
   s.ops_per_thread = o.ops;
@@ -206,9 +215,9 @@ int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
 
   if (!o.replay.empty()) {
-    const auto spec = LinSpec::parse(o.replay);
+    const auto spec = LinSpec::parse(o.replay, euno::trees::checked_trees());
     if (!spec) usage_and_exit(o.replay.c_str());
-    const LinRun run = euno::check::run_lin(*spec);
+    const LinRun run = run_lin(*spec);
     if (!o.history_path.empty()) write_history(o.history_path, *spec, run);
     std::printf("%s\n  ops=%zu keys=%zu segments=%zu states=%llu %s\n",
                 spec->to_string().c_str(), run.history.size(),
@@ -226,7 +235,7 @@ int main(int argc, char** argv) {
   std::optional<std::pair<LinSpec, LinRun>> to_dump;  // first run (or first bad)
 
   if (o.mode == SchedulePolicy::Mode::kSystematic) {
-    // One bounded DFS per tree kind; kinds fan out across jobs.
+    // One bounded DFS per tree; trees fan out across jobs.
     struct KindResult {
       std::uint64_t runs = 0, states = 0, ops = 0, keys = 0, segs = 0;
       std::vector<std::pair<LinSpec, LinRun>> bad;
@@ -243,7 +252,7 @@ int main(int argc, char** argv) {
           while (auto prefix = explorer.next()) {
             LinSpec spec = base_spec(o, o.trees[ti]);
             spec.sched.choices = *prefix;
-            LinRun run = euno::check::run_lin(spec);
+            LinRun run = run_lin(spec);
             explorer.report(run.decisions);
             ++r.runs;
             r.states += run.check.states_explored;
@@ -257,7 +266,7 @@ int main(int argc, char** argv) {
     for (std::size_t ti = 0; ti < o.trees.size(); ++ti) {
       auto& r = results[ti];
       LinSpec spec = base_spec(o, o.trees[ti]);
-      table.add_row({euno::check::lin_kind_name(o.trees[ti]),
+      table.add_row({o.trees[ti],
                      spec.sched.to_string(), euno::stats::Table::num(r.runs),
                      euno::stats::Table::num(r.ops),
                      euno::stats::Table::num(r.keys),
@@ -276,7 +285,7 @@ int main(int argc, char** argv) {
   } else {
     // det: one schedule per tree. rand: `seeds` schedules per tree.
     std::vector<LinSpec> specs;
-    for (LinKind k : o.trees) {
+    for (const std::string& k : o.trees) {
       if (o.mode == SchedulePolicy::Mode::kDeterministic) {
         specs.push_back(base_spec(o, k));
         continue;
@@ -289,11 +298,11 @@ int main(int argc, char** argv) {
     }
     std::vector<LinRun> runs(specs.size());
     euno::driver::parallel_for_each(specs.size(), o.jobs, [&](std::size_t i) {
-      runs[i] = euno::check::run_lin(specs[i]);
+      runs[i] = run_lin(specs[i]);
     });
-    // Aggregate per tree kind for the table; report violations per run.
+    // Aggregate per tree for the table; report violations per run.
     std::size_t i = 0;
-    for (LinKind k : o.trees) {
+    for (const std::string& k : o.trees) {
       const std::size_t per =
           o.mode == SchedulePolicy::Mode::kDeterministic ? 1 : o.seeds;
       std::uint64_t ops = 0, keys = 0, segs = 0, states = 0, bad = 0;
@@ -313,7 +322,7 @@ int main(int argc, char** argv) {
         }
       }
       LinSpec spec = base_spec(o, k);
-      table.add_row({euno::check::lin_kind_name(k), spec.sched.to_string(),
+      table.add_row({k, spec.sched.to_string(),
                      euno::stats::Table::num(static_cast<std::uint64_t>(per)),
                      euno::stats::Table::num(ops), euno::stats::Table::num(keys),
                      euno::stats::Table::num(segs),

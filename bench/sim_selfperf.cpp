@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
   // the uninstrumented preload or arena setup) dominate the wall clock. One
   // warm-up run (page faults, zeta cache), then kHotRuns timed runs.
   auto hot = bench::figure_spec(args);
-  hot.tree = driver::TreeKind::kEuno;
+  hot.tree = "euno";
   hot.workload.dist_param = 0.9;
   hot.workload.key_range = 1 << 16;
   hot.preload = hot.workload.key_range / 2;
@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
     sweep_spec.workload.dist_param = theta;
     for (int threads : bench::thread_sweep(/*quick=*/true)) {
       sweep_spec.threads = threads;
-      for (auto kind : bench::figure_tree_kinds(args)) {
+      for (const auto& kind : bench::figure_tree_kinds(args)) {
         sweep_spec.tree = kind;
         specs.push_back(sweep_spec);
       }

@@ -58,11 +58,10 @@ int main(int argc, char** argv) {
 
   // Two specs per row (baseline, then the subject — Euno by default,
   // --tree swaps it), flattened for the sweep runner.
-  const driver::TreeKind subject =
-      bench::selected_tree_kind(args, driver::TreeKind::kEuno);
+  const std::string subject = bench::selected_tree_kind(args, "euno");
   std::vector<driver::ExperimentSpec> specs;
   for (auto& row : rows) {
-    row.spec.tree = driver::TreeKind::kHtmBPTree;
+    row.spec.tree = "htm-bptree";
     specs.push_back(row.spec);
     row.spec.tree = subject;
     specs.push_back(row.spec);

@@ -5,9 +5,9 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
-#include "core/euno_tree.hpp"
 #include "ctx/native_ctx.hpp"
 #include "htm/rtm.hpp"
+#include "trees/algo/euno_bptree.hpp"
 
 using namespace euno;
 
@@ -22,7 +22,7 @@ int main() {
 
   // Full Eunomia configuration: split HTM regions, scattered leaves,
   // conflict-control module, adaptive contention control.
-  core::EunoBPTree<ctx::NativeCtx> tree(ctx, core::EunoConfig::full());
+  trees::algo::EunoBPTree<ctx::NativeCtx> tree(ctx, core::EunoConfig::full());
 
   // Put / get.
   for (trees::Key k = 0; k < 1000; ++k) tree.put(ctx, k, k * k);

@@ -6,6 +6,9 @@
 #   scripts/ci.sh asan      # AddressSanitizer build, fault-campaign suites
 #   scripts/ci.sh ubsan     # UBSan-only build, conformance + fault suites
 #
+# Every job builds with `-j "$(nproc)"`: a bare `-j` lets make start
+# unlimited compile jobs and oversubscribes the host.
+#
 # The default job re-runs the `obs-native` label explicitly (the native
 # telemetry round-trip: a native bench run with --trace/--metrics-interval/
 # --perf, validated by check_trace.py --expect-lanes=thread) and then renders
@@ -45,6 +48,10 @@
 # prefix-slice equivalence cases, and the fig_scan end-to-end smokes in both
 # domains). TSan audits the concurrent suffix-compare/box-swap handshakes;
 # ASan turns an early box free under a concurrent reader into a hard fault.
+# The asan job also runs the `lin` label: the harness owns each checked tree
+# through a unique_ptr<trees::AnyTree> built by the registry's factories,
+# and ASan turns a lifetime slip there (or in any checked tree under an
+# adversarial schedule) into a hard failure.
 # The asan and ubsan jobs also run the `sim` label (the engine battery:
 # interleaving vs a linear-scan reference, HTM model, engine properties), so
 # both fiber-switch primitives are covered: ASan builds switch with
@@ -65,7 +72,7 @@ job="${1:-default}"
 case "$job" in
   default)
     cmake -B build -S .
-    cmake --build build -j
+    cmake --build build -j "$(nproc)"
     ctest --test-dir build --output-on-failure -j "$(nproc)"
     ctest --test-dir build --output-on-failure -L obs-native
     # Store robustness battery (admission, deadlines, per-shard epoch
@@ -82,17 +89,17 @@ case "$job" in
     ;;
   tsan)
     cmake -B build-tsan -S . -DEUNO_TSAN=ON
-    cmake --build build-tsan -j
+    cmake --build build-tsan -j "$(nproc)"
     ctest --test-dir build-tsan --output-on-failure -L "parallel|lin|conformance|strkey"
     ;;
   asan)
     cmake -B build-asan -S . -DEUNO_ASAN=ON
-    cmake --build build-asan -j
-    ctest --test-dir build-asan --output-on-failure -L "fault|store|strkey|sim"
+    cmake --build build-asan -j "$(nproc)"
+    ctest --test-dir build-asan --output-on-failure -L "fault|store|strkey|sim|lin"
     ;;
   ubsan)
     cmake -B build-ubsan -S . -DEUNO_UBSAN=ON
-    cmake --build build-ubsan -j
+    cmake --build build-ubsan -j "$(nproc)"
     ctest --test-dir build-ubsan --output-on-failure -L "conformance|fault|lin|sim"
     ;;
   *)

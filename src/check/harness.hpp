@@ -1,12 +1,14 @@
-// Linearizability-test harness: run a workload on any tree kind under a
-// schedule policy, record the operation history, check it.
+// Linearizability-test harness: run a workload on any tree under a schedule
+// policy, record the operation history, check it.
 //
-// Header-only on purpose: the trees are class templates, and the mutation
-// self-test (tests/lin_mutation_test.cpp) compiles this header with
-// EUNO_LIN_MUTATION_SKIP_SEQ_RECHECK defined to get a deliberately broken
-// EunoBPTree instantiation in its own translation unit. The euno_check
-// library itself compiles no tree code, so a binary never mixes healthy and
-// mutated instantiations (ODR).
+// The harness names a tree by its slug (LinSpec::tree) and builds it through
+// a factory of TreeEntry's type that the caller resolves: lin_test and
+// lin_explore look the slug up in trees::checked_trees() (the registry plus
+// trees/variants.hpp). The harness itself never touches the registry, and
+// the euno_check library compiles no tree code, so the mutation self-test
+// (tests/lin_mutation_test.cpp) can instantiate deliberately broken trees
+// from trees/factories.hpp in its own translation unit without ever linking
+// the healthy instantiations (ODR).
 //
 // A LinSpec is fully replayable: to_string()/parse() round-trip every knob
 // including the schedule policy, so a failing run is reproduced with
@@ -16,8 +18,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,76 +25,13 @@
 
 #include "check/history.hpp"
 #include "check/linearize.hpp"
-#include "core/euno_tree.hpp"
 #include "ctx/sim_ctx.hpp"
 #include "sim/engine.hpp"
 #include "sim/schedule.hpp"
-#include "trees/algo/euno_skiplist.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
-#include "trees/lockbtree/lock_bptree.hpp"
-#include "trees/olc/olc_bptree.hpp"
-#include "trees/rcubtree/rcu_bptree.hpp"
-#include "trees/strbtree/str_bptree.hpp"
-#include "trees/threepath/three_path_bptree.hpp"
+#include "trees/registry.hpp"
 #include "util/rng.hpp"
 
 namespace euno::check {
-
-enum class LinKind {
-  kBaseline,     // HtmBPTree: monolithic HTM B+Tree
-  kOlc,          // OlcBPTree: optimistic lock coupling
-  kHtmMasstree,  // OlcBPTree with HTM elision
-  kEunoS1,
-  kEunoS2,
-  kEunoS4,
-  kEunoS8,
-  kEunoSkipList,  // EunoSkipList: partitioned towers over EunoHtmPolicy
-  kLockCoupling,  // LockBPTree: pessimistic hand-over-hand latching
-  kRcuBptree,     // RcuBPTree: copy-on-write splices via RcuHtmPolicy
-  kThreePath,     // ThreePathBPTree: fast/middle/slow (Brown's template)
-  // Bytes-domain trees, checked through the order-preserving u64 key codec
-  // (every encoded key shares its leading 4 bytes, so the checker's dense
-  // key ranges hammer the out-of-line suffix tie-break and box swaps under
-  // adversarial schedules — the paths the prefix slice would shortcut).
-  kStrHtm,       // StrHtmBPTree: monolithic HTM over BytesKeyTraits
-  kStrMasstree,  // StrMasstree: OLC over BytesKeyTraits
-  kStrLock,      // StrLockBPTree: lock coupling over BytesKeyTraits
-};
-
-inline constexpr LinKind kAllLinKinds[] = {
-    LinKind::kBaseline,     LinKind::kOlc,    LinKind::kHtmMasstree,
-    LinKind::kEunoS1,       LinKind::kEunoS2, LinKind::kEunoS4,
-    LinKind::kEunoS8,       LinKind::kEunoSkipList,
-    LinKind::kLockCoupling, LinKind::kRcuBptree,
-    LinKind::kThreePath,    LinKind::kStrHtm, LinKind::kStrMasstree,
-    LinKind::kStrLock,
-};
-
-inline const char* lin_kind_name(LinKind k) {
-  switch (k) {
-    case LinKind::kBaseline: return "Baseline";
-    case LinKind::kOlc: return "Olc";
-    case LinKind::kHtmMasstree: return "HtmMasstree";
-    case LinKind::kEunoS1: return "EunoS1";
-    case LinKind::kEunoS2: return "EunoS2";
-    case LinKind::kEunoS4: return "EunoS4";
-    case LinKind::kEunoS8: return "EunoS8";
-    case LinKind::kEunoSkipList: return "EunoSkipList";
-    case LinKind::kLockCoupling: return "LockCoupling";
-    case LinKind::kRcuBptree: return "RcuBptree";
-    case LinKind::kThreePath: return "ThreePath";
-    case LinKind::kStrHtm: return "StrHtm";
-    case LinKind::kStrMasstree: return "StrMasstree";
-    case LinKind::kStrLock: return "StrLock";
-  }
-  return "?";
-}
-
-inline std::optional<LinKind> lin_kind_parse(const std::string& s) {
-  for (LinKind k : kAllLinKinds)
-    if (s == lin_kind_name(k)) return k;
-  return std::nullopt;
-}
 
 enum class LinPattern {
   /// Uniform random put/get/erase/scan over a small hot key range.
@@ -112,8 +49,8 @@ inline const char* lin_pattern_name(LinPattern p) {
 
 /// One linearizability run, fully specified and replayable.
 struct LinSpec {
-  LinKind kind = LinKind::kEunoS4;
-  bool adaptive = false;  // Euno kinds: full() config instead of with_markbits()
+  /// Tree slug (a registry entry or a trees/variants.hpp variant).
+  std::string tree = "euno-markbits";
   /// Run under the hardened retry policy with a hair-trigger HTM-health
   /// monitor (any abort in a full window degrades the tree to lock-only), so
   /// the run exercises a mid-run degradation flip under the checker.
@@ -131,9 +68,7 @@ struct LinSpec {
   /// schedule policy string uses ',').
   std::string to_string() const {
     std::string s;
-    s += "kind=";
-    s += lin_kind_name(kind);
-    s += adaptive ? ";adaptive=1" : "";
+    s += "tree=" + tree;
     s += degrade ? ";degrade=1" : "";
     s += ";pattern=";
     s += lin_pattern_name(pattern);
@@ -147,7 +82,9 @@ struct LinSpec {
     return s;
   }
 
-  static std::optional<LinSpec> parse(const std::string& str) {
+  /// Rejects a malformed string and a slug that names none of `known`.
+  static std::optional<LinSpec> parse(
+      const std::string& str, const std::vector<trees::TreeEntry>& known) {
     LinSpec spec;
     std::size_t pos = 0;
     while (pos <= str.size()) {
@@ -163,12 +100,9 @@ struct LinSpec {
       if (eq == std::string::npos) return std::nullopt;
       const std::string key = tok.substr(0, eq);
       const std::string val = tok.substr(eq + 1);
-      if (key == "kind") {
-        auto k = lin_kind_parse(val);
-        if (!k) return std::nullopt;
-        spec.kind = *k;
-      } else if (key == "adaptive") {
-        spec.adaptive = val == "1";
+      if (key == "tree") {
+        if (trees::find_tree(known, val) == nullptr) return std::nullopt;
+        spec.tree = val;
       } else if (key == "degrade") {
         spec.degrade = val == "1";
       } else if (key == "pattern") {
@@ -222,165 +156,6 @@ struct LinSpec {
   }
 };
 
-/// Type-erased tree driver over SimCtx (the harness is simulator-only: the
-/// schedule policies exist only there).
-struct AnyLinTree {
-  std::function<bool(ctx::SimCtx&, Key, Value*)> get;
-  std::function<void(ctx::SimCtx&, Key, Value)> put;
-  std::function<bool(ctx::SimCtx&, Key)> erase;
-  std::function<std::size_t(ctx::SimCtx&, Key, std::size_t, KV*)> scan;
-  std::function<void()> check;
-  std::function<void(ctx::SimCtx&)> destroy;
-};
-
-/// u64 key codec over a bytes-domain tree, mirroring the registry's codec
-/// (builtin_trees.cpp): 4-byte constant tag + big-endian key, so encoding
-/// preserves order and every key collides in the in-node prefix slice.
-/// Values round-trip through the box payload as well, so the checker also
-/// covers the value-indirection publish/retire path.
-template <class Tree>
-AnyLinTree wrap_lin_str_tree(std::shared_ptr<Tree> t) {
-  constexpr std::size_t kLen = 12;
-  const auto encode = [](Key k, char* buf) {
-    std::memcpy(buf, "u64:", 4);
-    for (int i = 0; i < 8; ++i) {
-      buf[4 + i] = static_cast<char>((k >> (56 - 8 * i)) & 0xff);
-    }
-  };
-  AnyLinTree a;
-  a.get = [t, encode](ctx::SimCtx& c, Key k, Value* v) {
-    char buf[kLen];
-    encode(k, buf);
-    return t->get(c, trees::node::BytesView{buf, kLen}, v);
-  };
-  a.put = [t, encode](ctx::SimCtx& c, Key k, Value v) {
-    char buf[kLen];
-    encode(k, buf);
-    char payload[8];
-    for (int i = 0; i < 8; ++i) {
-      payload[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-    t->put(c, trees::node::BytesView{buf, kLen}, v,
-           trees::node::BytesView{payload, 8});
-  };
-  a.erase = [t, encode](ctx::SimCtx& c, Key k) {
-    char buf[kLen];
-    encode(k, buf);
-    return t->erase(c, trees::node::BytesView{buf, kLen});
-  };
-  a.scan = [t, encode](ctx::SimCtx& c, Key start, std::size_t n, KV* out) {
-    char buf[kLen];
-    encode(start, buf);
-    std::size_t got = 0;
-    return t->scan(c, trees::node::BytesView{buf, kLen}, n,
-                   [&](trees::node::BytesView key, Value v,
-                       trees::node::BytesView) {
-                     Key k = 0;
-                     for (int i = 0; i < 8; ++i) {
-                       k = (k << 8) | static_cast<unsigned char>(key.data[4 + i]);
-                     }
-                     out[got++] = KV{k, v};
-                   });
-  };
-  a.check = [t] { t->check_invariants(); };
-  a.destroy = [t](ctx::SimCtx& c) { t->destroy(c); };
-  return a;
-}
-
-template <class Tree>
-AnyLinTree wrap_lin_tree(std::shared_ptr<Tree> t) {
-  AnyLinTree a;
-  a.get = [t](ctx::SimCtx& c, Key k, Value* v) { return t->get(c, k, v); };
-  a.put = [t](ctx::SimCtx& c, Key k, Value v) { t->put(c, k, v); };
-  a.erase = [t](ctx::SimCtx& c, Key k) { return t->erase(c, k); };
-  a.scan = [t](ctx::SimCtx& c, Key k, std::size_t n, KV* out) {
-    return t->scan(c, k, n, out);
-  };
-  a.check = [t] { t->check_invariants(); };
-  a.destroy = [t](ctx::SimCtx& c) { t->destroy(c); };
-  return a;
-}
-
-inline AnyLinTree make_lin_tree(ctx::SimCtx& c, LinKind kind, bool adaptive,
-                                const htm::RetryPolicy& policy = {}) {
-  using Ctx = ctx::SimCtx;
-  using trees::HtmBPTree;
-  using trees::OlcBPTree;
-  core::EunoConfig cfg =
-      adaptive ? core::EunoConfig::full() : core::EunoConfig::with_markbits();
-  cfg.policy = policy;
-  switch (kind) {
-    case LinKind::kBaseline: {
-      typename HtmBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_tree(std::make_shared<HtmBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kOlc: {
-      typename OlcBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_tree(std::make_shared<OlcBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kHtmMasstree: {
-      typename OlcBPTree<Ctx>::Options opt;
-      opt.htm_elide = true;
-      opt.policy = policy;
-      return wrap_lin_tree(std::make_shared<OlcBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kEunoS1:
-      return wrap_lin_tree(std::make_shared<core::EunoBPTree<Ctx, 16, 1>>(c, cfg));
-    case LinKind::kEunoS2:
-      return wrap_lin_tree(std::make_shared<core::EunoBPTree<Ctx, 16, 2>>(c, cfg));
-    case LinKind::kEunoS4:
-      return wrap_lin_tree(std::make_shared<core::EunoBPTree<Ctx, 16, 4>>(c, cfg));
-    case LinKind::kEunoS8:
-      return wrap_lin_tree(std::make_shared<core::EunoBPTree<Ctx, 16, 8>>(c, cfg));
-    case LinKind::kEunoSkipList:
-      // Direct instantiation (not the registry factory) on purpose: the
-      // mutation self-test compiles this TU with the seq-recheck knocked
-      // out, and the skiplist's get path must pick up the same mutation.
-      return wrap_lin_tree(
-          std::make_shared<trees::algo::EunoSkipList<Ctx, 16, 4>>(c, cfg));
-    case LinKind::kLockCoupling: {
-      typename trees::LockBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_tree(std::make_shared<trees::LockBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kRcuBptree: {
-      // Direct instantiation on purpose (see kEunoSkipList): the mutation
-      // self-test compiles this TU with the splice's edge validation knocked
-      // out and needs the broken instantiation, not the registry's.
-      typename trees::RcuBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_tree(std::make_shared<trees::RcuBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kThreePath: {
-      typename trees::ThreePathBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_tree(
-          std::make_shared<trees::ThreePathBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kStrHtm: {
-      typename trees::StrHtmBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_str_tree(
-          std::make_shared<trees::StrHtmBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kStrMasstree: {
-      typename trees::StrMasstree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_str_tree(
-          std::make_shared<trees::StrMasstree<Ctx>>(c, opt));
-    }
-    case LinKind::kStrLock: {
-      typename trees::StrLockBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_str_tree(
-          std::make_shared<trees::StrLockBPTree<Ctx>>(c, opt));
-    }
-  }
-  return {};
-}
-
 /// Preload value convention: a pure function of the key, disjoint from the
 /// per-op unique values below (those have a nonzero high word).
 inline Value lin_preload_value(Key k) { return k * 7 + 1; }
@@ -412,18 +187,22 @@ inline htm::RetryPolicy lin_degrade_policy() {
   return p;
 }
 
-/// Execute one run: build the tree, preload, run the per-core workload under
-/// spec.sched recording the history, then check it. Also runs the tree's own
-/// structural check_invariants() (throws on corruption).
-inline LinRun run_lin(const LinSpec& spec) {
+/// Execute one run: build the tree with `make_sim` (the factory spec.tree
+/// names), preload, run the per-core workload under spec.sched recording the
+/// history, then check it. Also runs the tree's own structural
+/// check_invariants() (throws on corruption).
+inline LinRun run_lin(const LinSpec& spec,
+                      trees::TreeFactory<ctx::SimCtx> make_sim) {
   sim::MachineConfig mc;
   mc.arena_bytes = spec.arena_bytes;
   sim::Simulation simulation(mc);
   simulation.set_schedule_policy(spec.sched);
   ctx::SimCtx setup(simulation, 0);
-  const htm::RetryPolicy policy =
-      spec.degrade ? lin_degrade_policy() : htm::RetryPolicy{};
-  AnyLinTree tree = make_lin_tree(setup, spec.kind, spec.adaptive, policy);
+  trees::TreeBuildOptions build;
+  if (spec.degrade) build.policy = lin_degrade_policy();
+  const std::unique_ptr<trees::AnyTree<ctx::SimCtx>> owned =
+      make_sim(setup, build);
+  trees::AnyTree<ctx::SimCtx>& tree = *owned;
   HistoryRecorder rec(spec.threads);
   std::vector<ctx::SiteStats> stats(static_cast<std::size_t>(spec.threads));
 
@@ -519,7 +298,7 @@ inline LinRun run_lin(const LinSpec& spec) {
   out.decisions = simulation.schedule_decisions();
   out.truncated = simulation.schedule_truncated();
   out.max_clock = simulation.max_clock();
-  tree.check();
+  tree.check_invariants();
   out.check = check_history(out.history);
   tree.destroy(setup);
   return out;

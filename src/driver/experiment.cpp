@@ -20,10 +20,6 @@ using trees::node::BytesView;
 using workload::Op;
 using workload::OpType;
 
-std::string tree_kind_name(TreeKind k) {
-  return trees::tree_registry().expect(k).display;
-}
-
 namespace {
 
 /// Rows kept in the hottest-lines attribution table.

@@ -1,6 +1,6 @@
 // Experiment driver shared by every bench binary.
 //
-// One ExperimentSpec describes tree kind + workload + machine + thread
+// One ExperimentSpec describes tree + workload + machine + thread
 // count; run_sim_experiment executes it on the simulated multicore and
 // returns throughput, abort decomposition, instruction counts and memory
 // figures — the quantities the paper's figures are built from.
@@ -24,21 +24,14 @@
 #include "obs/timeseries.hpp"
 #include "sim/machine.hpp"
 #include "store/options.hpp"
-#include "trees/kinds.hpp"
 #include "workload/ycsb.hpp"
 
 namespace euno::driver {
 
-/// The kind enum lives with the tree registry (src/trees/kinds.hpp); the
-/// alias keeps the driver's historical spelling working everywhere.
-using TreeKind = trees::TreeKind;
-
-/// Display name used in bench tables and run manifests — the registered
-/// entry's `display` string (e.g. "HTM-B+Tree").
-std::string tree_kind_name(TreeKind k);
-
 struct ExperimentSpec {
-  TreeKind tree = TreeKind::kEuno;
+  /// Registry slug of the tree (trees/registry.hpp). Tables and manifests
+  /// print the entry's display name: tree_registry().expect(tree).display.
+  std::string tree = "euno";
   workload::WorkloadSpec workload{};
   int threads = 16;
   /// Records preloaded before measurement. Preloading runs uninstrumented

@@ -1,216 +1,17 @@
-// Registration of every built-in tree: kind, CLI slug, display name (the
-// exact strings manifests and golden fixtures compare), capability flags and
-// the type-erased factories over both contexts.
-//
-// The factories reproduce the construction the driver's old hand-rolled
-// dispatch switch performed, so dispatching through the registry is
-// behaviorally invisible (bit-identical manifests).
-#include "trees/registry.hpp"
-
-#include <cstring>
-
-#include "core/euno_tree.hpp"
+// Registration of every built-in tree: slug, display name (the exact
+// strings manifests and golden fixtures compare), capability flags and the
+// type-erased factories over both contexts (trees/factories.hpp).
 #include "ctx/native_ctx.hpp"
 #include "ctx/sim_ctx.hpp"
-#include "trees/algo/euno_skiplist.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
-#include "trees/lockbtree/lock_bptree.hpp"
-#include "trees/olc/olc_bptree.hpp"
-#include "trees/rcubtree/rcu_bptree.hpp"
-#include "trees/strbtree/str_bptree.hpp"
-#include "trees/threepath/three_path_bptree.hpp"
+#include "trees/factories.hpp"
+#include "trees/registry.hpp"
 
 namespace euno::trees {
 namespace {
 
-/// The Figure 13 ablation ladder maps each rung to an EunoConfig preset.
-core::EunoConfig euno_config_for(TreeKind k) {
-  using core::EunoConfig;
-  switch (k) {
-    case TreeKind::kEunoSplit:
-    case TreeKind::kEunoPart:
-      return EunoConfig::split_only();
-    case TreeKind::kEunoLockbits:
-      return EunoConfig::with_lockbits();
-    case TreeKind::kEunoMarkbits:
-      return EunoConfig::with_markbits();
-    default:
-      return EunoConfig::full();
-  }
-}
-
-template <class Ctx>
-std::unique_ptr<AnyTree<Ctx>> make_htm_bptree(Ctx& c,
-                                              const TreeBuildOptions& o) {
-  using Tree = HtmBPTree<Ctx>;
-  typename Tree::Options opt;
-  opt.policy = o.policy;
-  return std::make_unique<AnyTreeOf<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, opt); });
-}
-
-template <class Ctx, bool Elide>
-std::unique_ptr<AnyTree<Ctx>> make_olc_bptree(Ctx& c,
-                                              const TreeBuildOptions& o) {
-  using Tree = OlcBPTree<Ctx>;
-  typename Tree::Options opt;
-  opt.htm_elide = Elide;
-  opt.policy = o.policy;
-  return std::make_unique<AnyTreeOf<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, opt); });
-}
-
-template <class Ctx, int S, TreeKind K>
-std::unique_ptr<AnyTree<Ctx>> make_euno_bptree(Ctx& c,
-                                               const TreeBuildOptions& o) {
-  using Tree = core::EunoBPTree<Ctx, 16, S>;
-  core::EunoConfig cfg = euno_config_for(K);
-  cfg.policy = o.policy;
-  return std::make_unique<AnyTreeOf<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, cfg); });
-}
-
-template <class Ctx>
-std::unique_ptr<AnyTree<Ctx>> make_lock_bptree(Ctx& c,
-                                               const TreeBuildOptions& o) {
-  using Tree = LockBPTree<Ctx>;
-  typename Tree::Options opt;
-  opt.policy = o.policy;
-  return std::make_unique<AnyTreeOf<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, opt); });
-}
-
-template <class Ctx>
-std::unique_ptr<AnyTree<Ctx>> make_rcu_bptree(Ctx& c,
-                                              const TreeBuildOptions& o) {
-  using Tree = RcuBPTree<Ctx>;
-  typename Tree::Options opt;
-  opt.policy = o.policy;
-  return std::make_unique<AnyTreeOf<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, opt); });
-}
-
-template <class Ctx>
-std::unique_ptr<AnyTree<Ctx>> make_three_path_bptree(Ctx& c,
-                                                     const TreeBuildOptions& o) {
-  using Tree = ThreePathBPTree<Ctx>;
-  typename Tree::Options opt;
-  opt.policy = o.policy;
-  return std::make_unique<AnyTreeOf<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, opt); });
-}
-
-template <class Ctx>
-std::unique_ptr<AnyTree<Ctx>> make_euno_skiplist(Ctx& c,
-                                                 const TreeBuildOptions& o) {
-  using Tree = algo::EunoSkipList<Ctx, 16, 4>;
-  core::EunoConfig cfg = core::EunoConfig::full();
-  cfg.policy = o.policy;
-  return std::make_unique<AnyTreeOf<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, cfg); });
-}
-
-// ---- bytes-domain trees ----
-//
-// Each str tree registers twice over:
-//   - make_sim_str/make_native_str expose the native string interface
-//     (AnyStrTree) the driver's bytes-domain path and fig_scan use;
-//   - make_sim/make_native wrap the same tree in an order-preserving u64
-//     key codec, so the whole registry-driven conformance battery (oracle,
-//     scan boundaries, chunked scans, concurrent stress, scan-during-splice)
-//     applies to the bytes stack unchanged.
-//
-// The codec encodes a u64 as 12 bytes: a constant 4-byte tag followed by
-// the key in big-endian. Lexicographic order of the encoding matches
-// numeric order of the key, and — deliberately — every encoded key shares
-// its first 4 bytes, so dense u64 test keys collide heavily in the 8-byte
-// in-node prefix slice and force the suffix tie-break through the box on
-// nearly every comparison. The u64 sweeps thereby stress exactly the paths
-// the prefix slice would otherwise shortcut.
-constexpr char kU64CodecTag[4] = {'u', '6', '4', ':'};
-constexpr std::size_t kU64CodecLen = 12;
-
-inline void u64_codec_encode(Key k, char* buf) {
-  std::memcpy(buf, kU64CodecTag, 4);
-  for (int i = 0; i < 8; ++i) {
-    buf[4 + i] = static_cast<char>((k >> (56 - 8 * i)) & 0xff);
-  }
-}
-
-inline Key u64_codec_decode(node::BytesView v) {
-  Key k = 0;
-  for (int i = 0; i < 8; ++i) {
-    k = (k << 8) | static_cast<unsigned char>(v.data[4 + i]);
-  }
-  return k;
-}
-
-/// AnyTree (u64) adapter over a bytes-domain tree via the codec above. The
-/// payload round-trips the value through the out-of-line block so the u64
-/// suites also exercise ValueIndirection storage, not just key boxes.
-template <class Ctx, class Tree>
-class U64CodecStrTree final : public AnyTree<Ctx> {
- public:
-  template <class Make>
-  U64CodecStrTree(Ctx& c, Make&& make) : tree_(make(c)) {}
-
-  bool get(Ctx& c, Key k, Value* v) override {
-    char buf[kU64CodecLen];
-    u64_codec_encode(k, buf);
-    return tree_.get(c, node::BytesView{buf, kU64CodecLen}, v);
-  }
-  void put(Ctx& c, Key k, Value v) override {
-    char buf[kU64CodecLen];
-    u64_codec_encode(k, buf);
-    char payload[8];
-    for (int i = 0; i < 8; ++i) {
-      payload[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-    tree_.put(c, node::BytesView{buf, kU64CodecLen}, v,
-              node::BytesView{payload, 8});
-  }
-  bool erase(Ctx& c, Key k) override {
-    char buf[kU64CodecLen];
-    u64_codec_encode(k, buf);
-    return tree_.erase(c, node::BytesView{buf, kU64CodecLen});
-  }
-  std::size_t scan(Ctx& c, Key start, std::size_t n, KV* out) override {
-    char buf[kU64CodecLen];
-    u64_codec_encode(start, buf);
-    std::size_t got = 0;
-    return tree_.scan(
-        c, node::BytesView{buf, kU64CodecLen}, n,
-        [&](node::BytesView key, Value v, node::BytesView) {
-          out[got++] = KV{u64_codec_decode(key), v};
-        });
-  }
-  void check_invariants() override { tree_.check_invariants(); }
-  std::size_t size_slow() override { return tree_.size_slow(); }
-  void destroy(Ctx& c) override { tree_.destroy(c); }
-
- private:
-  Tree tree_;
-};
-
-template <class Ctx, template <class, int> class TreeT>
-std::unique_ptr<AnyTree<Ctx>> make_str_codec(Ctx& c,
-                                             const TreeBuildOptions& o) {
-  using Tree = TreeT<Ctx, kDefaultFanout>;
-  typename Tree::Options opt;
-  opt.policy = o.policy;
-  return std::make_unique<U64CodecStrTree<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, opt); });
-}
-
-template <class Ctx, template <class, int> class TreeT>
-std::unique_ptr<AnyStrTree<Ctx>> make_str_tree(Ctx& c,
-                                               const TreeBuildOptions& o) {
-  using Tree = TreeT<Ctx, kDefaultFanout>;
-  typename Tree::Options opt;
-  opt.policy = o.policy;
-  return std::make_unique<AnyStrTreeOf<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, opt); });
-}
+using core::EunoConfig;
+using ctx::NativeCtx;
+using ctx::SimCtx;
 
 TreeCaps figure_caps() {
   TreeCaps caps;
@@ -227,127 +28,115 @@ TreeCaps ladder_caps() {
 }  // namespace
 
 EUNO_REGISTER_TREE(htm_bptree, TreeEntry{
-    TreeKind::kHtmBPTree, "htm-bptree", "HTM-B+Tree",
+    "htm-bptree", "HTM-B+Tree",
     [] { TreeCaps c = figure_caps(); c.ablation_rung = true; return c; }(),
-    &make_htm_bptree<ctx::SimCtx>, &make_htm_bptree<ctx::NativeCtx>});
+    &make_bptree<SimCtx, HtmBPTree>, &make_bptree<NativeCtx, HtmBPTree>});
 
 EUNO_REGISTER_TREE(masstree, TreeEntry{
-    TreeKind::kMasstree, "masstree", "Masstree",
+    "masstree", "Masstree",
     [] {
       TreeCaps c = figure_caps();
-      c.uses_htm = false;
       c.has_global_fallback = false;  // plain OLC never touches the lock
       return c;
     }(),
-    &make_olc_bptree<ctx::SimCtx, false>,
-    &make_olc_bptree<ctx::NativeCtx, false>});
+    &make_olc_bptree<SimCtx, false>, &make_olc_bptree<NativeCtx, false>});
 
 EUNO_REGISTER_TREE(htm_masstree, TreeEntry{
-    TreeKind::kHtmMasstree, "htm-masstree", "HTM-Masstree", figure_caps(),
-    &make_olc_bptree<ctx::SimCtx, true>,
-    &make_olc_bptree<ctx::NativeCtx, true>});
+    "htm-masstree", "HTM-Masstree", figure_caps(),
+    &make_olc_bptree<SimCtx, true>, &make_olc_bptree<NativeCtx, true>});
 
+// The Euno-B+Tree and its Figure 13 ablation ladder: each rung is a segment
+// count plus an EunoConfig preset.
 EUNO_REGISTER_TREE(euno, TreeEntry{
-    TreeKind::kEuno, "euno", "Euno-B+Tree",
-    [] { TreeCaps c = figure_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 4, TreeKind::kEuno>,
-    &make_euno_bptree<ctx::NativeCtx, 4, TreeKind::kEuno>});
+    "euno", "Euno-B+Tree", figure_caps(),
+    &make_euno<SimCtx, algo::EunoBPTree, 4, &EunoConfig::full>,
+    &make_euno<NativeCtx, algo::EunoBPTree, 4, &EunoConfig::full>});
 
 EUNO_REGISTER_TREE(euno_split, TreeEntry{
-    TreeKind::kEunoSplit, "euno-split", "+Split HTM",
-    [] { TreeCaps c = ladder_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 1, TreeKind::kEunoSplit>,
-    &make_euno_bptree<ctx::NativeCtx, 1, TreeKind::kEunoSplit>});
+    "euno-split", "+Split HTM", ladder_caps(),
+    &make_euno<SimCtx, algo::EunoBPTree, 1, &EunoConfig::split_only>,
+    &make_euno<NativeCtx, algo::EunoBPTree, 1, &EunoConfig::split_only>});
 
 EUNO_REGISTER_TREE(euno_part, TreeEntry{
-    TreeKind::kEunoPart, "euno-part", "+Part Leaf",
-    [] { TreeCaps c = ladder_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 4, TreeKind::kEunoPart>,
-    &make_euno_bptree<ctx::NativeCtx, 4, TreeKind::kEunoPart>});
+    "euno-part", "+Part Leaf", ladder_caps(),
+    &make_euno<SimCtx, algo::EunoBPTree, 4, &EunoConfig::split_only>,
+    &make_euno<NativeCtx, algo::EunoBPTree, 4, &EunoConfig::split_only>});
 
 EUNO_REGISTER_TREE(euno_lockbits, TreeEntry{
-    TreeKind::kEunoLockbits, "euno-lockbits", "+CCM lockbits",
-    [] { TreeCaps c = ladder_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 4, TreeKind::kEunoLockbits>,
-    &make_euno_bptree<ctx::NativeCtx, 4, TreeKind::kEunoLockbits>});
+    "euno-lockbits", "+CCM lockbits", ladder_caps(),
+    &make_euno<SimCtx, algo::EunoBPTree, 4, &EunoConfig::with_lockbits>,
+    &make_euno<NativeCtx, algo::EunoBPTree, 4, &EunoConfig::with_lockbits>});
 
 EUNO_REGISTER_TREE(euno_markbits, TreeEntry{
-    TreeKind::kEunoMarkbits, "euno-markbits", "+CCM markbits",
-    [] { TreeCaps c = ladder_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 4, TreeKind::kEunoMarkbits>,
-    &make_euno_bptree<ctx::NativeCtx, 4, TreeKind::kEunoMarkbits>});
+    "euno-markbits", "+CCM markbits", ladder_caps(),
+    &make_euno<SimCtx, algo::EunoBPTree, 4, &EunoConfig::with_markbits>,
+    &make_euno<NativeCtx, algo::EunoBPTree, 4, &EunoConfig::with_markbits>});
 
 EUNO_REGISTER_TREE(euno_adaptive, TreeEntry{
-    TreeKind::kEunoAdaptive, "euno-adaptive", "+Adaptive",
-    [] { TreeCaps c = ladder_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 4, TreeKind::kEunoAdaptive>,
-    &make_euno_bptree<ctx::NativeCtx, 4, TreeKind::kEunoAdaptive>});
+    "euno-adaptive", "+Adaptive", ladder_caps(),
+    &make_euno<SimCtx, algo::EunoBPTree, 4, &EunoConfig::full>,
+    &make_euno<NativeCtx, algo::EunoBPTree, 4, &EunoConfig::full>});
 
 // Post-refactor structures, registered after the original nine so the
 // pre-existing listing/sweep order (and with it the golden manifests for
-// those kinds) is untouched.
+// those trees) is untouched.
 
 EUNO_REGISTER_TREE(euno_skiplist, TreeEntry{
-    TreeKind::kEunoSkipList, "euno-skiplist", "Euno-SkipList",
-    [] { TreeCaps c = figure_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_skiplist<ctx::SimCtx>, &make_euno_skiplist<ctx::NativeCtx>});
+    "euno-skiplist", "Euno-SkipList", figure_caps(),
+    &make_euno<SimCtx, algo::EunoSkipList, 4, &EunoConfig::full>,
+    &make_euno<NativeCtx, algo::EunoSkipList, 4, &EunoConfig::full>});
 
 EUNO_REGISTER_TREE(lock_bptree, TreeEntry{
-    TreeKind::kLockBPTree, "lock-bptree", "Lock-B+Tree",
-    [] { TreeCaps c; c.uses_htm = false; c.has_global_fallback = false; return c; }(),
-    &make_lock_bptree<ctx::SimCtx>, &make_lock_bptree<ctx::NativeCtx>});
+    "lock-bptree", "Lock-B+Tree",
+    [] { TreeCaps c; c.has_global_fallback = false; return c; }(),
+    &make_bptree<SimCtx, LockBPTree>, &make_bptree<NativeCtx, LockBPTree>});
 
 EUNO_REGISTER_TREE(rcu_bptree, TreeEntry{
-    TreeKind::kRcuBPTree, "rcu-bptree", "RCU-HTM-B+Tree", figure_caps(),
-    &make_rcu_bptree<ctx::SimCtx>, &make_rcu_bptree<ctx::NativeCtx>});
+    "rcu-bptree", "RCU-HTM-B+Tree", figure_caps(),
+    &make_bptree<SimCtx, RcuBPTree>, &make_bptree<NativeCtx, RcuBPTree>});
 
 EUNO_REGISTER_TREE(three_path_bptree, TreeEntry{
-    TreeKind::kThreePathBPTree, "3path-bptree", "3Path-B+Tree",
+    "3path-bptree", "3Path-B+Tree",
     // The three-path template takes the global lock only in its terminal
     // (stage-2) degradation mode, never on the generic op path.
     [] { TreeCaps c = figure_caps(); c.has_global_fallback = false; return c; }(),
-    &make_three_path_bptree<ctx::SimCtx>,
-    &make_three_path_bptree<ctx::NativeCtx>});
+    &make_bptree<SimCtx, ThreePathBPTree>,
+    &make_bptree<NativeCtx, ThreePathBPTree>});
 
 // Bytes-domain trees, registered last (same listing-order argument as
 // above). Not in the default figure sweeps — fig_common's four-tree u64
 // figures stay as-is; the scan-heavy bytes figures (bench/fig_scan) select
-// by key_domain. The lin harness reaches them through its own codec
-// wrapper (check/harness.hpp), not through caps.lin.
+// by key_domain. Their make_sim/make_native factories go through the u64
+// key codec, which is how the u64 suites (conformance, lin) check them.
 namespace {
-TreeCaps str_caps(bool uses_htm, bool has_fallback) {
+TreeCaps str_caps(bool has_fallback) {
   TreeCaps c;
-  c.uses_htm = uses_htm;
   c.has_global_fallback = has_fallback;
-  c.lin = false;
   c.key_domain = KeyDomain::kBytes;
   return c;
 }
 }  // namespace
 
 EUNO_REGISTER_TREE(str_htm_bptree, TreeEntry{
-    TreeKind::kStrHtmBPTree, "str-htm-bptree", "Str-HTM-B+Tree",
-    str_caps(true, true),
-    &make_str_codec<ctx::SimCtx, StrHtmBPTree>,
-    &make_str_codec<ctx::NativeCtx, StrHtmBPTree>,
-    &make_str_tree<ctx::SimCtx, StrHtmBPTree>,
-    &make_str_tree<ctx::NativeCtx, StrHtmBPTree>});
+    "str-htm-bptree", "Str-HTM-B+Tree", str_caps(true),
+    &make_str_codec<SimCtx, StrHtmBPTree>,
+    &make_str_codec<NativeCtx, StrHtmBPTree>,
+    &make_str_tree<SimCtx, StrHtmBPTree>,
+    &make_str_tree<NativeCtx, StrHtmBPTree>});
 
 EUNO_REGISTER_TREE(str_masstree, TreeEntry{
-    TreeKind::kStrMasstree, "str-masstree", "Str-Masstree",
-    str_caps(false, false),
-    &make_str_codec<ctx::SimCtx, StrMasstree>,
-    &make_str_codec<ctx::NativeCtx, StrMasstree>,
-    &make_str_tree<ctx::SimCtx, StrMasstree>,
-    &make_str_tree<ctx::NativeCtx, StrMasstree>});
+    "str-masstree", "Str-Masstree", str_caps(false),
+    &make_str_codec<SimCtx, StrMasstree>,
+    &make_str_codec<NativeCtx, StrMasstree>,
+    &make_str_tree<SimCtx, StrMasstree>,
+    &make_str_tree<NativeCtx, StrMasstree>});
 
 EUNO_REGISTER_TREE(str_lock_bptree, TreeEntry{
-    TreeKind::kStrLockBPTree, "str-lock-bptree", "Str-Lock-B+Tree",
-    str_caps(false, false),
-    &make_str_codec<ctx::SimCtx, StrLockBPTree>,
-    &make_str_codec<ctx::NativeCtx, StrLockBPTree>,
-    &make_str_tree<ctx::SimCtx, StrLockBPTree>,
-    &make_str_tree<ctx::NativeCtx, StrLockBPTree>});
+    "str-lock-bptree", "Str-Lock-B+Tree", str_caps(false),
+    &make_str_codec<SimCtx, StrLockBPTree>,
+    &make_str_codec<NativeCtx, StrLockBPTree>,
+    &make_str_tree<SimCtx, StrLockBPTree>,
+    &make_str_tree<NativeCtx, StrLockBPTree>});
 
 void anchor_builtin_trees() {}
 

@@ -2,16 +2,17 @@
 //
 // Every concurrent tree the repo can run registers one TreeEntry (see
 // builtin_trees.cpp), carrying
-//   - the CLI slug (`--tree=htm-bptree`),
+//   - the slug (`--tree=htm-bptree`), the one identity of a tree across the
+//     CLI, ExperimentSpec::tree and the linearizability specs,
 //   - the display name used in bench tables and run manifests (these are
 //     load-bearing: golden manifests compare them byte-for-byte),
-//   - capability flags (which default sweeps include it, whether it runs
-//     under the linearizability harness, ...),
+//   - capability flags (which default sweeps include it, ...),
 //   - type-erased factories over both execution contexts.
 //
 // The driver's run_sim_experiment/run_native_experiment, fig_common.hpp and
-// the lin/fault suites all dispatch through here: adding a structure to the
-// whole bench/test surface is one registration.
+// the lin/fault/property suites all dispatch through here: adding a structure
+// to the whole bench/test surface is one registration. The factory templates
+// the registrations use live in trees/factories.hpp.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +23,6 @@
 #include "htm/policy.hpp"
 #include "trees/common.hpp"
 #include "trees/key_traits.hpp"
-#include "trees/kinds.hpp"
 
 namespace euno::ctx {
 class SimCtx;
@@ -79,7 +79,7 @@ class AnyTreeOf final : public AnyTree<Ctx> {
 
 /// Type-erased string-domain tree interface. Bytes-domain trees register a
 /// second pair of factories returning this; their u64 factories remain the
-/// conformance/bench surface through a key codec (see builtin_trees.cpp),
+/// conformance/bench surface through a key codec (see factories.hpp),
 /// so the whole registry-driven test battery applies to them unchanged.
 template <class Ctx>
 class AnyStrTree {
@@ -134,19 +134,14 @@ class AnyStrTreeOf final : public AnyStrTree<Ctx> {
   Tree tree_;
 };
 
-/// Capability flags consumed by fig_common.hpp (default sweep membership)
-/// and the registry-driven conformance/lin suites.
+/// Capability flags consumed by fig_common.hpp (default sweep membership),
+/// fig13_ablation (the ladder) and the fault suites.
 struct TreeCaps {
   /// Appears in the default four-tree figure sweeps (fig08/10/11/12, ...).
   bool figure_default = false;
-  /// Member of the Figure 13 cumulative ablation ladder.
+  /// Member of the Figure 13 cumulative ablation ladder; fig13_ablation
+  /// runs the rungs in registration order.
   bool ablation_rung = false;
-  /// Uses HTM regions (can degrade / be fault-injected at tx granularity).
-  bool uses_htm = true;
-  /// Built on the paper's partitioned-leaf pattern (segments + seqno + CCM).
-  bool partitioned_leaves = false;
-  /// Swept by the linearizability harness's registry-driven specs.
-  bool lin = true;
   /// Every operation can degrade to the tree's global FallbackLock (the
   /// standard ctx::txn terminal mode). False for policies that never take
   /// it (pure locking / OLC baselines) or only reach it in a terminal
@@ -162,38 +157,50 @@ struct TreeCaps {
   KeyDomain key_domain = KeyDomain::kU64;
 };
 
+template <class Ctx>
+using TreeFactory = std::unique_ptr<AnyTree<Ctx>> (*)(Ctx&,
+                                                      const TreeBuildOptions&);
+template <class Ctx>
+using StrTreeFactory =
+    std::unique_ptr<AnyStrTree<Ctx>> (*)(Ctx&, const TreeBuildOptions&);
+
 struct TreeEntry {
-  TreeKind kind{};
-  std::string name;     // registry/CLI slug, e.g. "htm-bptree"
+  std::string kind;     // slug, e.g. "htm-bptree"
   std::string display;  // table/manifest name, e.g. "HTM-B+Tree"
   TreeCaps caps{};
-  std::unique_ptr<AnyTree<ctx::SimCtx>> (*make_sim)(ctx::SimCtx&,
-                                                    const TreeBuildOptions&) =
-      nullptr;
-  std::unique_ptr<AnyTree<ctx::NativeCtx>> (*make_native)(
-      ctx::NativeCtx&, const TreeBuildOptions&) = nullptr;
+  TreeFactory<ctx::SimCtx> make_sim = nullptr;
+  TreeFactory<ctx::NativeCtx> make_native = nullptr;
   /// String-domain factories; non-null iff caps.key_domain == kBytes.
-  std::unique_ptr<AnyStrTree<ctx::SimCtx>> (*make_sim_str)(
-      ctx::SimCtx&, const TreeBuildOptions&) = nullptr;
-  std::unique_ptr<AnyStrTree<ctx::NativeCtx>> (*make_native_str)(
-      ctx::NativeCtx&, const TreeBuildOptions&) = nullptr;
+  StrTreeFactory<ctx::SimCtx> make_sim_str = nullptr;
+  StrTreeFactory<ctx::NativeCtx> make_native_str = nullptr;
 };
+
+/// The entry in `entries` whose slug is `slug`, or null.
+inline const TreeEntry* find_tree(const std::vector<TreeEntry>& entries,
+                                  const std::string& slug) {
+  for (const auto& e : entries)
+    if (e.kind == slug) return &e;
+  return nullptr;
+}
 
 class TreeRegistry {
  public:
   static TreeRegistry& instance();
 
-  /// Registers one tree. Duplicate kinds or names assert: names are CLI
-  /// surface and kinds key the driver dispatch, so collisions are bugs.
+  /// Registers one tree. A duplicate slug asserts: slugs are the CLI and
+  /// driver identity, so a collision is a bug.
   void add(TreeEntry e);
 
   /// Entries in registration order (the order listings and sweeps use).
   const std::vector<TreeEntry>& entries() const { return entries_; }
 
-  const TreeEntry* by_name(const std::string& name) const;
-  const TreeEntry* by_kind(TreeKind kind) const;
-  /// by_kind that asserts the kind is registered (driver dispatch path).
-  const TreeEntry& expect(TreeKind kind) const;
+  /// The entry registered under `slug`, or null.
+  const TreeEntry* by_name(const std::string& slug) const {
+    return find_tree(entries_, slug);
+  }
+  /// by_name that aborts, naming the slug, when it is not registered (the
+  /// driver dispatch path).
+  const TreeEntry& expect(const std::string& slug) const;
 
  private:
   std::vector<TreeEntry> entries_;

@@ -8,7 +8,7 @@
 namespace euno::driver {
 namespace {
 
-ExperimentSpec small_spec(TreeKind tree, double theta, int threads) {
+ExperimentSpec small_spec(const std::string& tree, double theta, int threads) {
   // Figure-style configuration scaled down for test runtime: consecutive
   // (unscrambled) zipfian hot keys, half the keys preloaded with stride 2 so
   // hot inserts continue during the measured phase.
@@ -27,36 +27,35 @@ ExperimentSpec small_spec(TreeKind tree, double theta, int threads) {
 }
 
 TEST(Driver, AllTreeKindsRunAndProduceOps) {
-  for (TreeKind k :
-       {TreeKind::kHtmBPTree, TreeKind::kMasstree, TreeKind::kHtmMasstree,
-        TreeKind::kEuno, TreeKind::kEunoSplit, TreeKind::kEunoPart,
-        TreeKind::kEunoLockbits, TreeKind::kEunoMarkbits}) {
+  for (const char* k : {"htm-bptree", "masstree", "htm-masstree", "euno",
+                        "euno-split", "euno-part", "euno-lockbits",
+                        "euno-markbits"}) {
     const auto r = run_sim_experiment(small_spec(k, 0.5, 4));
-    EXPECT_EQ(r.ops, 6000u) << tree_kind_name(k);
-    EXPECT_GT(r.throughput_mops, 0.0) << tree_kind_name(k);
-    EXPECT_GT(r.sim_cycles, 0u) << tree_kind_name(k);
-    EXPECT_GT(r.instructions_per_op, 0.0) << tree_kind_name(k);
+    EXPECT_EQ(r.ops, 6000u) << k;
+    EXPECT_GT(r.throughput_mops, 0.0) << k;
+    EXPECT_GT(r.sim_cycles, 0u) << k;
+    EXPECT_GT(r.instructions_per_op, 0.0) << k;
   }
 }
 
 TEST(Driver, Deterministic) {
-  const auto a = run_sim_experiment(small_spec(TreeKind::kEuno, 0.9, 8));
-  const auto b = run_sim_experiment(small_spec(TreeKind::kEuno, 0.9, 8));
+  const auto a = run_sim_experiment(small_spec("euno", 0.9, 8));
+  const auto b = run_sim_experiment(small_spec("euno", 0.9, 8));
   EXPECT_EQ(a.sim_cycles, b.sim_cycles);
   EXPECT_EQ(a.aborts_total, b.aborts_total);
   EXPECT_EQ(a.commits, b.commits);
 }
 
 TEST(Driver, BaselineAbortsGrowWithContention) {
-  const auto low = run_sim_experiment(small_spec(TreeKind::kHtmBPTree, 0.2, 16));
-  const auto high = run_sim_experiment(small_spec(TreeKind::kHtmBPTree, 0.99, 16));
+  const auto low = run_sim_experiment(small_spec("htm-bptree", 0.2, 16));
+  const auto high = run_sim_experiment(small_spec("htm-bptree", 0.99, 16));
   EXPECT_GT(high.aborts_per_op, low.aborts_per_op * 3)
       << "Figure 2 premise: aborts must rise sharply with skew";
 }
 
 TEST(Driver, EunoBeatsBaselineUnderHighContention) {
-  const auto base = run_sim_experiment(small_spec(TreeKind::kHtmBPTree, 0.99, 16));
-  const auto euno = run_sim_experiment(small_spec(TreeKind::kEuno, 0.99, 16));
+  const auto base = run_sim_experiment(small_spec("htm-bptree", 0.99, 16));
+  const auto euno = run_sim_experiment(small_spec("euno", 0.99, 16));
   EXPECT_GT(euno.throughput_mops, base.throughput_mops * 1.4)
       << "§5.2: Euno should clearly beat the monolithic baseline at θ=0.99 "
       << "(the paper reports up to 11x on its testbed; our simulated machine "
@@ -66,8 +65,8 @@ TEST(Driver, EunoBeatsBaselineUnderHighContention) {
 }
 
 TEST(Driver, EunoOverheadSmallUnderLowContention) {
-  const auto base = run_sim_experiment(small_spec(TreeKind::kHtmBPTree, 0.2, 16));
-  const auto euno = run_sim_experiment(small_spec(TreeKind::kEuno, 0.2, 16));
+  const auto base = run_sim_experiment(small_spec("htm-bptree", 0.2, 16));
+  const auto euno = run_sim_experiment(small_spec("euno", 0.2, 16));
   EXPECT_GT(euno.throughput_mops, base.throughput_mops * 0.55)
       << "§5.6: adaptive control keeps low-contention overhead bounded "
       << "(the extra HTM region, mark maintenance and scattered search "
@@ -76,20 +75,20 @@ TEST(Driver, EunoOverheadSmallUnderLowContention) {
 }
 
 TEST(Driver, MonolithicAbortsLandInMonoSite) {
-  const auto r = run_sim_experiment(small_spec(TreeKind::kHtmBPTree, 0.9, 16));
+  const auto r = run_sim_experiment(small_spec("htm-bptree", 0.9, 16));
   EXPECT_GT(r.mono_aborts, 0u);
   EXPECT_EQ(r.upper_aborts + r.lower_aborts, 0u);
 }
 
 TEST(Driver, EunoAbortsConcentrateInLowerRegion) {
-  const auto r = run_sim_experiment(small_spec(TreeKind::kEunoPart, 0.95, 16));
+  const auto r = run_sim_experiment(small_spec("euno-part", 0.95, 16));
   EXPECT_EQ(r.mono_aborts, 0u);
   EXPECT_GT(r.lower_aborts, r.upper_aborts)
       << "conflicts concentrate in the leaf layer (§2.3)";
 }
 
 TEST(Driver, NativeEngineSmoke) {
-  auto spec = small_spec(TreeKind::kEuno, 0.9, 2);
+  auto spec = small_spec("euno", 0.9, 2);
   spec.ops_per_thread = 2000;
   const auto r = run_native_experiment(spec);
   EXPECT_EQ(r.ops, 4000u);
@@ -103,7 +102,7 @@ TEST(Driver, NativeOpenLoopOriginFollowsGeneratorSetup) {
   // first op's sojourn. This key range and theta appear in no other test,
   // so the process-wide zeta cache is cold here.
   ExperimentSpec spec;
-  spec.tree = TreeKind::kEuno;
+  spec.tree = "euno";
   spec.threads = 1;
   spec.workload.key_range = (1ull << 20) + 7919;
   spec.workload.dist = workload::DistKind::kZipfian;
@@ -128,7 +127,7 @@ TEST(Driver, NativeClosedLoopWindowExcludesGeneratorSetup) {
   // at 8 Mi keys) inside the window would swamp a one-op run. This key range
   // and theta appear in no other test, so the zeta cache is cold here.
   ExperimentSpec spec;
-  spec.tree = TreeKind::kEuno;
+  spec.tree = "euno";
   spec.threads = 1;
   spec.workload.key_range = (1ull << 23) + 13;
   spec.workload.dist = workload::DistKind::kZipfian;
@@ -146,7 +145,7 @@ TEST(Driver, NativeOpenLoopThinkFloorSparesFirstArrival) {
   // none, so a 200 ms floor must not delay it: the one-op run's measured
   // window stays near the first inter-arrival gap (1 us mean here).
   ExperimentSpec spec;
-  spec.tree = TreeKind::kEuno;
+  spec.tree = "euno";
   spec.threads = 1;
   spec.workload.key_range = 4096;
   spec.preload = 1024;
@@ -161,7 +160,7 @@ TEST(Driver, NativeOpenLoopThinkFloorSparesFirstArrival) {
 }
 
 TEST(Driver, MemoryAccounting) {
-  const auto r = run_sim_experiment(small_spec(TreeKind::kEuno, 0.5, 4));
+  const auto r = run_sim_experiment(small_spec("euno", 0.5, 4));
   EXPECT_GT(r.mem_total, 0u);
   // CCM bytes are folded into each leaf allocation (one line per leaf), so
   // the reserved-keys class is the visible Euno overhead knob.

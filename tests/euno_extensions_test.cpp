@@ -3,13 +3,13 @@
 
 #include <vector>
 
-#include "core/euno_tree.hpp"
 #include "tree_conformance.hpp"
+#include "trees/algo/euno_bptree.hpp"
 
 namespace euno::tests {
 namespace {
 
-using core::EunoBPTree;
+using trees::algo::EunoBPTree;
 using core::EunoConfig;
 
 std::vector<KV> make_sorted(std::size_t n, Key stride = 3, Key base = 10) {

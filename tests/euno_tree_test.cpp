@@ -3,13 +3,13 @@
 // mark maintenance, deferred rebalance, and every ablation configuration.
 #include <gtest/gtest.h>
 
-#include "core/euno_tree.hpp"
 #include "tree_conformance.hpp"
+#include "trees/algo/euno_bptree.hpp"
 
 namespace euno::tests {
 namespace {
 
-using core::EunoBPTree;
+using trees::algo::EunoBPTree;
 using core::EunoConfig;
 
 EunoConfig stress_config() {

@@ -8,10 +8,9 @@
 
 #include <map>
 
-#include "core/euno_tree.hpp"
 #include "driver/experiment.hpp"
 #include "tree_conformance.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
+#include "trees/factories.hpp"
 
 namespace euno::tests {
 namespace {
@@ -55,7 +54,7 @@ TEST(FailureInjection, ZeroRetryBudgetStillCorrect_Euno) {
   run_hostile_sim(
       sim::MachineConfig{},
       [](ctx::SimCtx& c) {
-        return core::EunoBPTree<ctx::SimCtx>(c, zero_retry_config());
+        return trees::algo::EunoBPTree<ctx::SimCtx>(c, zero_retry_config());
       },
       8, 300);
 }
@@ -81,7 +80,7 @@ TEST(FailureInjection, TinyCapacityForcesFallbackButStaysCorrect) {
   run_hostile_sim(
       cfg,
       [](ctx::SimCtx& c) {
-        return core::EunoBPTree<ctx::SimCtx>(c, core::EunoConfig::full());
+        return trees::algo::EunoBPTree<ctx::SimCtx>(c, core::EunoConfig::full());
       },
       6, 200);
 }
@@ -106,7 +105,7 @@ TEST(FailureInjection, ExtremeLatencySkew) {
   run_hostile_sim(
       cfg,
       [](ctx::SimCtx& c) {
-        return core::EunoBPTree<ctx::SimCtx>(c, core::EunoConfig::full());
+        return trees::algo::EunoBPTree<ctx::SimCtx>(c, core::EunoConfig::full());
       },
       6, 150);
 }
@@ -142,7 +141,7 @@ TEST(FailureInjection, CapacityAbortsAreCountedAsCapacity) {
 // exhausts its budget and serializes.
 TEST(FailureInjection, HardenedPolicyBeatsNaiveUnderAbortStorm) {
   driver::ExperimentSpec spec;
-  spec.tree = driver::TreeKind::kHtmBPTree;
+  spec.tree = "htm-bptree";
   spec.threads = 8;
   spec.workload.key_range = 1 << 8;  // hot: everyone collides
   spec.workload.mix = workload::OpMix{40, 60, 0, 0};
@@ -172,7 +171,7 @@ TEST(FailureInjection, HardenedPolicyBeatsNaiveUnderAbortStorm) {
 // event, and the workload still completes via the lock.
 TEST(FailureInjection, HealthMonitorDegradesToLockOnly) {
   driver::ExperimentSpec spec;
-  spec.tree = driver::TreeKind::kHtmBPTree;
+  spec.tree = "htm-bptree";
   spec.threads = 4;
   spec.workload.key_range = 1 << 10;
   spec.workload.mix = workload::OpMix{50, 50, 0, 0};
@@ -252,14 +251,14 @@ TEST(FailureInjection, HardenedPolicyStaysCorrectUnderMutualDestruction) {
   run_hostile_sim(
       cfg,
       [ecfg](ctx::SimCtx& c) {
-        return core::EunoBPTree<ctx::SimCtx>(c, ecfg);
+        return trees::algo::EunoBPTree<ctx::SimCtx>(c, ecfg);
       },
       8, 250);
 }
 
 TEST(FailureInjection, DriverWithScansAndDeletesUnderHostileMachine) {
   driver::ExperimentSpec spec;
-  spec.tree = driver::TreeKind::kEuno;
+  spec.tree = "euno";
   spec.threads = 8;
   spec.workload.key_range = 1 << 12;
   spec.workload.mix = workload::OpMix{30, 40, 15, 15};

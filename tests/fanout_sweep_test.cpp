@@ -6,10 +6,8 @@
 
 #include <map>
 
-#include "core/euno_tree.hpp"
 #include "tree_conformance.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
-#include "trees/olc/olc_bptree.hpp"
+#include "trees/factories.hpp"
 
 namespace euno::tests {
 namespace {
@@ -104,11 +102,11 @@ template <int F, int S>
 void euno_fanout() {
   ctx::NativeEnv env;
   ctx::NativeCtx c(env, 0);
-  core::EunoBPTree<ctx::NativeCtx, F, S> tree(c, core::EunoConfig::full());
+  trees::algo::EunoBPTree<ctx::NativeCtx, F, S> tree(c, core::EunoConfig::full());
   oracle_pass(tree, c, 300 + F * 10 + S);
   tree.destroy(c);
-  sim_pass<core::EunoBPTree<ctx::SimCtx, F, S>>([](ctx::SimCtx& c2) {
-    return core::EunoBPTree<ctx::SimCtx, F, S>(c2, core::EunoConfig::full());
+  sim_pass<trees::algo::EunoBPTree<ctx::SimCtx, F, S>>([](ctx::SimCtx& c2) {
+    return trees::algo::EunoBPTree<ctx::SimCtx, F, S>(c2, core::EunoConfig::full());
   });
 }
 

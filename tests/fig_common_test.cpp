@@ -171,7 +171,7 @@ TEST(FigCommon, SweepHelpers) {
   }
   EXPECT_EQ(kinds.size(), expected);
   EXPECT_EQ(kinds.size(), 7u);
-  EXPECT_NE(std::find(kinds.begin(), kinds.end(), trees::TreeKind::kEunoSkipList),
+  EXPECT_NE(std::find(kinds.begin(), kinds.end(), "euno-skiplist"),
             kinds.end());
 }
 
@@ -198,8 +198,7 @@ TEST(FigCommon, RunFigureSweepSequentialFallback) {
   spec.machine.arena_bytes = 256ull << 20;
 
   std::vector<driver::ExperimentSpec> specs;
-  for (auto kind :
-       {driver::TreeKind::kHtmBPTree, driver::TreeKind::kEuno}) {
+  for (const char* kind : {"htm-bptree", "euno"}) {
     spec.tree = kind;
     specs.push_back(spec);
   }

@@ -16,13 +16,17 @@
 //    with concurrent slow-path validation (torn/stale reads).
 //
 // Each mutation affects a disjoint tree type, so one TU carries all three.
-// The harness header instantiates the mutated trees inside this TU only
-// (the euno_check library contains no tree code), so no other binary ever
-// links a broken variant. Every test must find a schedule where the seeded
-// bug produces a linearizability violation, and that counterexample must
-// replay deterministically from its printed spec string.
+// The mutated trees are built here from the registry's factory templates
+// (trees/factories.hpp), under the registry's slugs. This binary must never
+// reference the registry instance: that would link builtin_trees.o and its
+// healthy instantiations of the same templates (an ODR violation under
+// which a mutation could silently vanish). Every test must find a schedule
+// where the seeded bug produces a linearizability violation, and that
+// counterexample must replay deterministically from its printed spec string.
 #include "check/harness.hpp"
+#include "ctx/sim_ctx.hpp"
 #include "repro_main.hpp"
+#include "trees/factories.hpp"
 
 #ifndef EUNO_LIN_MUTATION_SKIP_SEQ_RECHECK
 #error "lin_mutation_test must be compiled with EUNO_LIN_MUTATION_SKIP_SEQ_RECHECK"
@@ -37,10 +41,32 @@
 namespace euno::tests {
 namespace {
 
-using check::LinKind;
 using check::LinPattern;
 using check::LinRun;
 using check::LinSpec;
+
+/// The mutated trees this TU compiles, under their registry slugs.
+const std::vector<trees::TreeEntry>& mutated_trees() {
+  using ctx::SimCtx;
+  static const std::vector<trees::TreeEntry> mutated = {
+      {.kind = "euno-markbits",
+       .display = "+CCM markbits",
+       .make_sim = &trees::make_euno<SimCtx, trees::algo::EunoBPTree, 4,
+                                     &core::EunoConfig::with_markbits>},
+      {.kind = "rcu-bptree",
+       .display = "RCU-HTM-B+Tree",
+       .make_sim = &trees::make_bptree<SimCtx, trees::RcuBPTree>},
+      {.kind = "3path-bptree",
+       .display = "3Path-B+Tree",
+       .make_sim = &trees::make_bptree<SimCtx, trees::ThreePathBPTree>},
+  };
+  return mutated;
+}
+
+LinRun run_lin(const LinSpec& spec) {
+  return check::run_lin(spec,
+                        trees::find_tree(mutated_trees(), spec.tree)->make_sim);
+}
 
 // Sweep schedule seeds until the mutation's race window is actually hit,
 // then prove the counterexample replays: same spec => same violation, and
@@ -70,7 +96,7 @@ void expect_deterministic_replay(const LinSpec& spec) {
   EXPECT_EQ(a.check.violations[0].key, b.check.violations[0].key);
   EXPECT_EQ(a.check.violations[0].segment_index,
             b.check.violations[0].segment_index);
-  const auto parsed = LinSpec::parse(spec.to_string());
+  const auto parsed = LinSpec::parse(spec.to_string(), mutated_trees());
   ASSERT_TRUE(parsed.has_value());
   const LinRun c = run_lin(*parsed);
   EXPECT_FALSE(c.check.ok) << "parsed replay spec lost the violation";
@@ -78,7 +104,7 @@ void expect_deterministic_replay(const LinSpec& spec) {
 
 LinSpec mutation_spec(std::uint64_t sched_seed) {
   LinSpec spec;
-  spec.kind = LinKind::kEunoS4;  // markbit config: both mutated sites active
+  spec.tree = "euno-markbits";  // both mutated sites active
   spec.pattern = LinPattern::kSplitRace;
   // 1 writer + 3 readers, with preloaded even keys spread across the whole
   // insert range so nearly every split moves keys the readers are chasing.
@@ -130,7 +156,7 @@ TEST(LinMutation, BrokenSeqRecheckIsFlaggedAndReplayable) {
   EXPECT_NE(text.find("violation on key"), std::string::npos);
 
   // And the printed spec string round-trips for the --replay flow.
-  const auto parsed = LinSpec::parse(violating->to_string());
+  const auto parsed = LinSpec::parse(violating->to_string(), mutated_trees());
   ASSERT_TRUE(parsed.has_value());
   const LinRun c = run_lin(*parsed);
   EXPECT_FALSE(c.check.ok) << "parsed replay spec lost the violation";
@@ -144,7 +170,7 @@ TEST(LinMutation, BrokenSeqRecheckIsFlaggedAndReplayable) {
 // are common; 100% preemption makes the clone/splice window wide.
 LinSpec rcu_mutation_spec(std::uint64_t sched_seed) {
   LinSpec spec;
-  spec.kind = LinKind::kRcuBptree;
+  spec.tree = "rcu-bptree";
   spec.threads = 4;
   spec.ops_per_thread = 80;
   spec.key_range = 24;
@@ -174,7 +200,7 @@ TEST(LinMutation, BrokenRcuEdgeValidationIsFlaggedAndReplayable) {
 // read/validate windows open across middle commits.
 LinSpec three_path_mutation_spec(std::uint64_t sched_seed) {
   LinSpec spec;
-  spec.kind = LinKind::kThreePath;
+  spec.tree = "3path-bptree";
   spec.threads = 4;
   spec.ops_per_thread = 100;
   spec.key_range = 24;

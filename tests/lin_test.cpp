@@ -1,22 +1,30 @@
-// Linearizability sweep: every tree kind under the schedule-exploration
+// Linearizability sweep: every checked tree (trees::checked_trees(): the
+// registry plus the unregistered variants) under the schedule-exploration
 // policies (deterministic, seeded-random preemption, preempt-on-tx-begin,
 // abort-storm injection), histories checked by src/check. Plus determinism
-// of replay (same spec => identical history) and a bounded systematic
-// exploration on a tiny configuration.
+// of replay (same spec => identical history), a bounded systematic
+// exploration on a tiny configuration, and the slug checks.
+#include <set>
+#include <string>
 #include <vector>
 
 #include "check/harness.hpp"
 #include "check/explore.hpp"
 #include "repro_main.hpp"
+#include "trees/variants.hpp"
 
 namespace euno::tests {
 namespace {
 
-using check::LinKind;
 using check::LinPattern;
 using check::LinRun;
 using check::LinSpec;
 using sim::SchedulePolicy;
+
+check::LinRun run_lin(const LinSpec& spec) {
+  return check::run_lin(
+      spec, trees::find_tree(trees::checked_trees(), spec.tree)->make_sim);
+}
 
 SchedulePolicy rand_policy(std::uint64_t seed, std::uint32_t preempt_pct = 100,
                            bool txp = false, std::uint32_t storm = 0) {
@@ -31,63 +39,44 @@ SchedulePolicy rand_policy(std::uint64_t seed, std::uint32_t preempt_pct = 100,
 
 std::vector<LinSpec> lin_params() {
   std::vector<LinSpec> specs;
-  for (const LinKind kind : check::kAllLinKinds) {
+  for (const trees::TreeEntry& e : trees::checked_trees()) {
+    LinSpec s;
+    s.tree = e.kind;
     // Deterministic heap scheduler (the production interleaving).
-    {
-      LinSpec s;
-      s.kind = kind;
-      specs.push_back(s);
-    }
+    specs.push_back(s);
     // Seeded random preemption at access granularity.
-    {
-      LinSpec s;
-      s.kind = kind;
-      s.sched = rand_policy(7);
-      specs.push_back(s);
-    }
+    s.sched = rand_policy(7);
+    specs.push_back(s);
     // Adversarial: deschedule every fiber right after tx begin, plus a
     // moderate random-preemption background.
-    {
-      LinSpec s;
-      s.kind = kind;
-      s.sched = rand_policy(11, 60, /*txp=*/true);
-      specs.push_back(s);
-    }
+    s.sched = rand_policy(11, 60, /*txp=*/true);
+    specs.push_back(s);
     // Abort-storm injection: 25% of transaction begins are doomed on the
     // spot, pushing every tree through its retry and fallback paths.
-    {
-      LinSpec s;
-      s.kind = kind;
-      s.sched = rand_policy(13, 40, /*txp=*/false, /*storm=*/25);
-      specs.push_back(s);
-    }
+    s.sched = rand_policy(13, 40, /*txp=*/false, /*storm=*/25);
+    specs.push_back(s);
     // Split-race pattern: readers chase a writer that splits leaves.
-    {
-      LinSpec s;
-      s.kind = kind;
-      s.pattern = LinPattern::kSplitRace;
-      s.preload = 12;
-      s.ops_per_thread = 48;
-      s.sched = rand_policy(17);
-      specs.push_back(s);
-    }
+    s.pattern = LinPattern::kSplitRace;
+    s.preload = 12;
+    s.ops_per_thread = 48;
+    s.sched = rand_policy(17);
+    specs.push_back(s);
   }
-  // Adaptive-enabled Euno variants (full() config: lockbits + adaptation).
-  for (const LinKind kind : {LinKind::kEunoS2, LinKind::kEunoS4}) {
+  // Adaptive-enabled Euno trees (full() config: lockbits + adaptation).
+  for (const char* kind : {"euno-s2", "euno"}) {
     LinSpec s;
-    s.kind = kind;
-    s.adaptive = true;
+    s.tree = kind;
     s.sched = rand_policy(19, 80, /*txp=*/true);
     specs.push_back(s);
   }
   // Graceful degradation under an abort storm: the hardened policy with a
   // hair-trigger health monitor must flip each HTM-using tree to lock-only
   // mid-run without the history ceasing to linearize.
-  for (const LinKind kind : {LinKind::kBaseline, LinKind::kHtmMasstree,
-                             LinKind::kEunoS2, LinKind::kEunoS4,
-                             LinKind::kEunoSkipList, LinKind::kRcuBptree}) {
+  for (const char* kind :
+       {"htm-bptree", "htm-masstree", "euno-s2-markbits", "euno-markbits",
+        "euno-skiplist-markbits", "rcu-bptree"}) {
     LinSpec s;
-    s.kind = kind;
+    s.tree = kind;
     s.degrade = true;
     s.sched = rand_policy(29, 50, /*txp=*/false, /*storm=*/60);
     specs.push_back(s);
@@ -98,7 +87,7 @@ std::vector<LinSpec> lin_params() {
   // chain test below for the stage assertions).
   for (const std::uint64_t seed : {29ull, 31ull}) {
     LinSpec s;
-    s.kind = LinKind::kThreePath;
+    s.tree = "3path-bptree";
     s.degrade = true;
     s.sched = rand_policy(seed, 50, /*txp=*/false, /*storm=*/60);
     specs.push_back(s);
@@ -137,7 +126,7 @@ INSTANTIATE_TEST_SUITE_P(AllTrees, LinCheck, ::testing::ValuesIn(lin_params()),
 // degradation, so the full chain shows as exactly two.
 TEST(LinDegradeChain, ThreePathDescendsToTerminalLockOnly) {
   LinSpec spec;
-  spec.kind = LinKind::kThreePath;
+  spec.tree = "3path-bptree";
   spec.degrade = true;
   spec.ops_per_thread = 80;
   spec.sched = rand_policy(29, 50, /*txp=*/false, /*storm=*/60);
@@ -152,7 +141,7 @@ TEST(LinDegradeChain, ThreePathDescendsToTerminalLockOnly) {
 
 TEST(LinDeterminism, SameSpecSameHistory) {
   LinSpec spec;
-  spec.kind = LinKind::kEunoS4;
+  spec.tree = "euno-markbits";
   spec.sched = rand_policy(23, 90, /*txp=*/true, /*storm=*/10);
   repro_extra() = "# replay: " + check::lin_repro_line(spec);
   const LinRun a = run_lin(spec);
@@ -174,17 +163,44 @@ TEST(LinDeterminism, SameSpecSameHistory) {
 
 TEST(LinDeterminism, SpecStringRoundTrips) {
   LinSpec spec;
-  spec.kind = LinKind::kHtmMasstree;
-  spec.adaptive = false;
+  spec.tree = "htm-masstree";
   spec.degrade = true;
   spec.pattern = LinPattern::kSplitRace;
   spec.threads = 2;
   spec.ops_per_thread = 9;
   spec.workload_seed = 99;
   spec.sched = rand_policy(5, 33, true, 7);
-  const auto parsed = LinSpec::parse(spec.to_string());
+  const auto parsed = LinSpec::parse(spec.to_string(), trees::checked_trees());
   ASSERT_TRUE(parsed.has_value()) << spec.to_string();
   EXPECT_EQ(parsed->to_string(), spec.to_string());
+}
+
+// A slug is checked at run time now, so a wrong one must fail loudly: a
+// replay string naming no checked tree is rejected, not run as some default.
+TEST(LinSpecParse, UnknownTreeSlugIsRejected) {
+  LinSpec spec;
+  std::string text = spec.to_string();
+  ASSERT_TRUE(LinSpec::parse(text, trees::checked_trees()).has_value());
+  text.replace(0, text.find(';'), "tree=no-such-tree");
+  EXPECT_FALSE(LinSpec::parse(text, trees::checked_trees()).has_value())
+      << text;
+  EXPECT_FALSE(LinSpec::parse("tree=;pattern=mix", trees::checked_trees()))
+      << "empty slug";
+}
+
+// The sweep covers exactly the registry plus the variant list: registering a
+// tree is what puts it under the checker.
+TEST(LinSweep, CoversEveryRegisteredTreeAndVariant) {
+  std::set<std::string> expected;
+  for (const auto& e : trees::tree_registry().entries()) expected.insert(e.kind);
+  for (const auto& e : trees::variant_trees()) {
+    EXPECT_EQ(trees::tree_registry().by_name(e.kind), nullptr)
+        << e.kind << ": a variant must not shadow a registered slug";
+    expected.insert(e.kind);
+  }
+  std::set<std::string> swept;
+  for (const LinSpec& s : lin_params()) swept.insert(s.tree);
+  EXPECT_EQ(swept, expected);
 }
 
 // Bounded systematic exploration of a tiny configuration: 2 fibers, a few
@@ -192,7 +208,7 @@ TEST(LinDeterminism, SpecStringRoundTrips) {
 // the explorer must actually deviate from the default schedule.
 TEST(LinExplore, SystematicTinyConfigAllSchedulesLinearize) {
   LinSpec spec;
-  spec.kind = LinKind::kEunoS2;
+  spec.tree = "euno-s2-markbits";
   spec.threads = 2;
   spec.ops_per_thread = 3;
   spec.key_range = 2;

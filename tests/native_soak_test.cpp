@@ -8,10 +8,8 @@
 #include <thread>
 #include <vector>
 #include <map>
-#include "core/euno_tree.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
-#include "trees/olc/olc_bptree.hpp"
 #include "ctx/native_ctx.hpp"
+#include "trees/factories.hpp"
 using namespace euno;
 template <class Make>
 void soak(const char* name, Make make, int threads, int ops) {
@@ -57,7 +55,7 @@ void soak(const char* name, Make make, int threads, int ops) {
   printf("%s soak ok (%d threads x %d ops)\n", name, threads, ops);
 }
 TEST(NativeSoak, AllTrees) {
-  soak("euno", [](ctx::NativeCtx& c){ return core::EunoBPTree<ctx::NativeCtx>(c, core::EunoConfig::full()); }, 8, 150000);
+  soak("euno", [](ctx::NativeCtx& c){ return trees::algo::EunoBPTree<ctx::NativeCtx>(c, core::EunoConfig::full()); }, 8, 150000);
   soak("baseline", [](ctx::NativeCtx& c){ return trees::HtmBPTree<ctx::NativeCtx>(c); }, 8, 150000);
   soak("olc", [](ctx::NativeCtx& c){ return trees::OlcBPTree<ctx::NativeCtx>(c); }, 8, 150000);
   soak("htm-masstree", [](ctx::NativeCtx& c){
@@ -71,7 +69,7 @@ TEST(NativeSoak, HardenedPolicyAllTrees) {
   const htm::RetryPolicy hp = htm::RetryPolicy::hardened();
   soak("euno-hardened", [hp](ctx::NativeCtx& c){
     core::EunoConfig cfg = core::EunoConfig::full(); cfg.policy = hp;
-    return core::EunoBPTree<ctx::NativeCtx>(c, cfg); }, 8, 100000);
+    return trees::algo::EunoBPTree<ctx::NativeCtx>(c, cfg); }, 8, 100000);
   soak("baseline-hardened", [hp](ctx::NativeCtx& c){
     typename trees::HtmBPTree<ctx::NativeCtx>::Options o; o.policy = hp;
     return trees::HtmBPTree<ctx::NativeCtx>(c, o); }, 8, 100000);

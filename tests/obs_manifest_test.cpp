@@ -15,7 +15,7 @@ namespace {
 
 driver::ExperimentSpec small_spec() {
   driver::ExperimentSpec spec;
-  spec.tree = driver::TreeKind::kEuno;
+  spec.tree = "euno";
   spec.threads = 4;
   spec.ops_per_thread = 120;
   spec.workload.key_range = 1 << 12;
@@ -92,7 +92,7 @@ TEST(Manifest, HistogramPopulatedWhenLatencyOn) {
 
 TEST(Manifest, HotLinesPopulatedWhenContentionOnUnderConflict) {
   auto spec = small_spec();
-  spec.tree = driver::TreeKind::kHtmBPTree;  // the collapsing baseline
+  spec.tree = "htm-bptree";  // the collapsing baseline
   spec.threads = 8;
   spec.obs.contention = true;
   const auto r = driver::run_sim_experiment(spec);
@@ -115,8 +115,7 @@ TEST(Manifest, HotLinesPopulatedWhenContentionOnUnderConflict) {
 // zero simulated cycles, so every simulated quantity is bit-identical with
 // all channels on vs. all off.
 TEST(Manifest, ObservabilityDoesNotPerturbSimulation) {
-  for (auto tree :
-       {driver::TreeKind::kEuno, driver::TreeKind::kHtmBPTree}) {
+  for (const char* tree : {"euno", "htm-bptree"}) {
     auto off = small_spec();
     off.tree = tree;
     auto on = off;

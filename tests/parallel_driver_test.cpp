@@ -30,7 +30,7 @@ std::vector<ExperimentSpec> small_sweep() {
     base.workload.dist_param = theta;
     for (int threads : {4, 16}) {
       base.threads = threads;
-      for (auto kind : {TreeKind::kHtmBPTree, TreeKind::kEuno}) {
+      for (auto kind : {"htm-bptree", "euno"}) {
         base.tree = kind;
         specs.push_back(base);
       }

@@ -18,7 +18,7 @@ namespace {
 
 driver::ExperimentSpec base_spec() {
   driver::ExperimentSpec spec;
-  spec.tree = driver::TreeKind::kHtmBPTree;
+  spec.tree = "htm-bptree";
   spec.threads = 4;
   spec.workload.key_range = 1 << 10;
   spec.workload.mix = workload::OpMix{50, 50, 0, 0};
@@ -190,18 +190,18 @@ TEST(SimFault, LockHolderDelayGatedByGlobalFallbackCap) {
     const auto r = run_sim_experiment(spec);
     // Non-HTM trees log no transaction counters at all, so "the scenario
     // ran" is only visible on the simulated clock.
-    EXPECT_GT(r.sim_cycles, 0u) << e.name << ": scenario ran no work";
+    EXPECT_GT(r.sim_cycles, 0u) << e.kind << ": scenario ran no work";
     if (e.caps.has_global_fallback) {
       EXPECT_GT(r.faults_lock_delay, 0u)
-          << e.name << ": has_global_fallback set but the hostile campaign "
+          << e.kind << ": has_global_fallback set but the hostile campaign "
                        "never delayed a lock holder";
     } else {
       EXPECT_EQ(r.faults_lock_delay, 0u)
-          << e.name << ": tree claims no global fallback but acquired the "
+          << e.kind << ": tree claims no global fallback but acquired the "
                        "fallback lock";
       std::printf("  [gated-out] %s: no global fallback lock, delay "
                   "scenario skipped by caps\n",
-                  e.name.c_str());
+                  e.kind.c_str());
     }
   }
 }

@@ -370,7 +370,7 @@ TEST(ShardedStoreSim, OverloadedShardDegradesAloneOthersStayHealthy) {
 
 driver::ExperimentSpec store_spec() {
   driver::ExperimentSpec spec;
-  spec.tree = driver::TreeKind::kEuno;
+  spec.tree = "euno";
   spec.threads = 4;
   spec.ops_per_thread = 150;
   spec.workload.key_range = 1 << 12;

@@ -389,9 +389,7 @@ TEST_P(StrConformance, NativeConcurrentStress) {
 }
 
 std::string entry_test_name(const ::testing::TestParamInfo<TreeEntry>& info) {
-  std::string out;
-  for (char ch : info.param.name) out += (ch == '-') ? '_' : ch;
-  return out;
+  return slug_test_name(info.param.kind);
 }
 
 INSTANTIATE_TEST_SUITE_P(BytesDomainTrees, StrConformance,

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,6 +31,13 @@ namespace euno::tests {
 using trees::KV;
 using trees::Key;
 using trees::Value;
+
+/// gtest-safe spelling of a tree slug ("euno-split" -> "euno_split").
+inline std::string slug_test_name(const std::string& slug) {
+  std::string out;
+  for (char ch : slug) out += (ch == '-') ? '_' : ch;
+  return out;
+}
 
 inline sim::MachineConfig test_sim_config() {
   sim::MachineConfig cfg;

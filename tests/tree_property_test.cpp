@@ -1,97 +1,37 @@
-// Parameterized property tests: every tree kind, several shapes and seeds,
+// Parameterized property tests: every checked tree (trees::checked_trees():
+// the registry plus the unregistered variants), several shapes and seeds,
 // driven through randomized oracle workloads and concurrent stress with
 // invariant checking. TEST_P sweeps are the coverage backbone — each
 // instantiation exercises a distinct (structure, workload) combination.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
-#include "core/euno_tree.hpp"
+#include "ctx/native_ctx.hpp"
+#include "ctx/sim_ctx.hpp"
 #include "repro_main.hpp"
 #include "tree_conformance.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
-#include "trees/olc/olc_bptree.hpp"
+#include "trees/variants.hpp"
 
 namespace euno::tests {
 namespace {
 
-enum class Kind { kBaseline, kOlc, kHtmMasstree, kEunoS1, kEunoS2, kEunoS4, kEunoS8 };
-
 struct PropertyParam {
-  Kind kind;
+  std::string tree;  // slug in trees::checked_trees()
   std::uint64_t seed;
   int ops;
   std::uint64_t key_range;
-  bool adaptive;  // Euno kinds only
 
   std::string name() const {
-    std::string k;
-    switch (kind) {
-      case Kind::kBaseline: k = "Baseline"; break;
-      case Kind::kOlc: k = "Olc"; break;
-      case Kind::kHtmMasstree: k = "HtmMasstree"; break;
-      case Kind::kEunoS1: k = "EunoS1"; break;
-      case Kind::kEunoS2: k = "EunoS2"; break;
-      case Kind::kEunoS4: k = "EunoS4"; break;
-      case Kind::kEunoS8: k = "EunoS8"; break;
-    }
-    return k + "_seed" + std::to_string(seed) + "_r" + std::to_string(key_range) +
-           (adaptive ? "_adapt" : "");
+    return slug_test_name(tree) + "_seed" + std::to_string(seed) + "_r" +
+           std::to_string(key_range);
+  }
+
+  const trees::TreeEntry& entry() const {
+    return *trees::find_tree(trees::checked_trees(), tree);
   }
 };
-
-/// Type-erased driver so one parameterized suite covers every tree type.
-template <class Ctx>
-struct AnyTree {
-  std::function<bool(Ctx&, Key, Value*)> get;
-  std::function<void(Ctx&, Key, Value)> put;
-  std::function<bool(Ctx&, Key)> erase;
-  std::function<std::size_t(Ctx&, Key, std::size_t, KV*)> scan;
-  std::function<void()> check;
-  std::function<void(Ctx&)> destroy;
-};
-
-template <class Ctx, class Tree>
-AnyTree<Ctx> wrap(std::shared_ptr<Tree> t) {
-  AnyTree<Ctx> a;
-  a.get = [t](Ctx& c, Key k, Value* v) { return t->get(c, k, v); };
-  a.put = [t](Ctx& c, Key k, Value v) { t->put(c, k, v); };
-  a.erase = [t](Ctx& c, Key k) { return t->erase(c, k); };
-  a.scan = [t](Ctx& c, Key k, std::size_t n, KV* out) {
-    return t->scan(c, k, n, out);
-  };
-  a.check = [t] { t->check_invariants(); };
-  a.destroy = [t](Ctx& c) { t->destroy(c); };
-  return a;
-}
-
-template <class Ctx>
-AnyTree<Ctx> make_any(Ctx& c, const PropertyParam& p) {
-  using trees::HtmBPTree;
-  using trees::OlcBPTree;
-  core::EunoConfig cfg =
-      p.adaptive ? core::EunoConfig::full() : core::EunoConfig::with_markbits();
-  switch (p.kind) {
-    case Kind::kBaseline:
-      return wrap<Ctx>(std::make_shared<HtmBPTree<Ctx>>(c));
-    case Kind::kOlc:
-      return wrap<Ctx>(std::make_shared<OlcBPTree<Ctx>>(c));
-    case Kind::kHtmMasstree: {
-      typename OlcBPTree<Ctx>::Options opt;
-      opt.htm_elide = true;
-      return wrap<Ctx>(std::make_shared<OlcBPTree<Ctx>>(c, opt));
-    }
-    case Kind::kEunoS1:
-      return wrap<Ctx>(std::make_shared<core::EunoBPTree<Ctx, 16, 1>>(c, cfg));
-    case Kind::kEunoS2:
-      return wrap<Ctx>(std::make_shared<core::EunoBPTree<Ctx, 16, 2>>(c, cfg));
-    case Kind::kEunoS4:
-      return wrap<Ctx>(std::make_shared<core::EunoBPTree<Ctx, 16, 4>>(c, cfg));
-    case Kind::kEunoS8:
-      return wrap<Ctx>(std::make_shared<core::EunoBPTree<Ctx, 16, 8>>(c, cfg));
-  }
-  return {};
-}
 
 class TreeProperty : public ::testing::TestWithParam<PropertyParam> {};
 
@@ -100,7 +40,8 @@ TEST_P(TreeProperty, OracleAgreesWithStdMap) {
   repro_extra() = "# param: " + p.name() + " seed=" + std::to_string(p.seed);
   ctx::NativeEnv env;
   ctx::NativeCtx c(env, 0);
-  auto tree = make_any(c, p);
+  const auto owned = p.entry().make_native(c, trees::TreeBuildOptions{});
+  auto& tree = *owned;
 
   std::map<Key, Value> oracle;
   Xoshiro256 rng(p.seed);
@@ -141,7 +82,7 @@ TEST_P(TreeProperty, OracleAgreesWithStdMap) {
       }
     }
   }
-  tree.check();
+  tree.check_invariants();
   tree.destroy(c);
 }
 
@@ -150,7 +91,8 @@ TEST_P(TreeProperty, SimConcurrencyPreservesInvariants) {
   repro_extra() = "# param: " + p.name() + " seed=" + std::to_string(p.seed);
   sim::Simulation simulation(test_sim_config());
   ctx::SimCtx setup(simulation, 0);
-  auto tree = make_any(setup, p);
+  const auto owned = p.entry().make_sim(setup, trees::TreeBuildOptions{});
+  auto& tree = *owned;
 
   const std::uint64_t hot = std::min<std::uint64_t>(p.key_range, 96);
   for (int t = 0; t < 6; ++t) {
@@ -185,25 +127,19 @@ TEST_P(TreeProperty, SimConcurrencyPreservesInvariants) {
     });
   }
   simulation.run();
-  tree.check();
+  tree.check_invariants();
   tree.destroy(setup);
 }
 
 std::vector<PropertyParam> property_params() {
   std::vector<PropertyParam> ps;
-  const Kind kinds[] = {Kind::kBaseline, Kind::kOlc,    Kind::kHtmMasstree,
-                        Kind::kEunoS1,   Kind::kEunoS2, Kind::kEunoS4,
-                        Kind::kEunoS8};
-  for (Kind k : kinds) {
+  for (const trees::TreeEntry& e : trees::checked_trees()) {
     for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
-      ps.push_back(PropertyParam{k, seed, 6000, 700, false});
+      ps.push_back(PropertyParam{e.kind, seed, 6000, 700});
     }
-    ps.push_back(PropertyParam{k, 14, 4000, 50, false});   // dense duplicates
-    ps.push_back(PropertyParam{k, 15, 3000, 100000, false});  // sparse
+    ps.push_back(PropertyParam{e.kind, 14, 4000, 50});      // dense duplicates
+    ps.push_back(PropertyParam{e.kind, 15, 3000, 100000});  // sparse
   }
-  // Adaptive-enabled Euno variants.
-  ps.push_back(PropertyParam{Kind::kEunoS4, 16, 6000, 700, true});
-  ps.push_back(PropertyParam{Kind::kEunoS2, 17, 6000, 700, true});
   return ps;
 }
 

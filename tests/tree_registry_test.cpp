@@ -1,29 +1,32 @@
-// Registry contract tests: lookup round trips, uniqueness of the CLI and
-// manifest surfaces, capability expectations for the built-ins, and factory
-// presence over both contexts.
+// Registry contract tests: slug lookup, uniqueness of the CLI and manifest
+// surfaces, capability expectations for the built-ins, factory presence over
+// both contexts, and the loud failure of an unknown slug.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "trees/registry.hpp"
 
 namespace euno::tests {
 namespace {
 
-using trees::TreeKind;
 using trees::tree_registry;
 
-TEST(TreeRegistry, NameKindRoundTrip) {
+TEST(TreeRegistry, SlugLookupRoundTrip) {
   for (const auto& e : tree_registry().entries()) {
-    const auto* by_name = tree_registry().by_name(e.name);
-    ASSERT_NE(by_name, nullptr) << e.name;
-    EXPECT_EQ(by_name->kind, e.kind) << e.name;
-    const auto* by_kind = tree_registry().by_kind(e.kind);
-    ASSERT_NE(by_kind, nullptr) << e.name;
-    EXPECT_EQ(by_kind->name, e.name);
-    EXPECT_EQ(&tree_registry().expect(e.kind), by_kind);
+    const auto* by_name = tree_registry().by_name(e.kind);
+    ASSERT_EQ(by_name, &e) << e.kind;
+    EXPECT_EQ(&tree_registry().expect(e.kind), &e);
   }
+}
+
+// A slug is checked at run time, so a wrong one must fail loudly and say
+// which slug it was.
+TEST(TreeRegistryDeathTest, ExpectUnknownSlugAbortsNamingIt) {
+  EXPECT_DEATH(tree_registry().expect("no-such-tree"),
+               "tree 'no-such-tree' is not registered");
 }
 
 TEST(TreeRegistry, UnknownNameIsNull) {
@@ -37,7 +40,7 @@ TEST(TreeRegistry, SlugsAndDisplayNamesAreUnique) {
   std::set<std::string> names;
   std::set<std::string> displays;
   for (const auto& e : tree_registry().entries()) {
-    EXPECT_TRUE(names.insert(e.name).second) << "duplicate slug " << e.name;
+    EXPECT_TRUE(names.insert(e.kind).second) << "duplicate slug " << e.kind;
     EXPECT_TRUE(displays.insert(e.display).second)
         << "duplicate display name " << e.display;
   }
@@ -45,8 +48,8 @@ TEST(TreeRegistry, SlugsAndDisplayNamesAreUnique) {
 
 TEST(TreeRegistry, EveryEntryHasBothFactories) {
   for (const auto& e : tree_registry().entries()) {
-    EXPECT_NE(e.make_sim, nullptr) << e.name;
-    EXPECT_NE(e.make_native, nullptr) << e.name;
+    EXPECT_NE(e.make_sim, nullptr) << e.kind;
+    EXPECT_NE(e.make_native, nullptr) << e.kind;
   }
 }
 
@@ -57,18 +60,17 @@ TEST(TreeRegistry, StrFactoriesIffBytesDomain) {
   std::size_t bytes_entries = 0;
   for (const auto& e : tree_registry().entries()) {
     const bool is_bytes = e.caps.key_domain == trees::KeyDomain::kBytes;
-    EXPECT_EQ(e.make_sim_str != nullptr, is_bytes) << e.name;
-    EXPECT_EQ(e.make_native_str != nullptr, is_bytes) << e.name;
+    EXPECT_EQ(e.make_sim_str != nullptr, is_bytes) << e.kind;
+    EXPECT_EQ(e.make_native_str != nullptr, is_bytes) << e.kind;
     if (is_bytes) {
       ++bytes_entries;
-      // Codec-wrapped str trees are swept by the conformance battery but
-      // stay out of the u64 figure sweeps, the ablation ladder and the
-      // u64-kind lin harness enum (they have their own LinKinds).
-      EXPECT_FALSE(e.caps.figure_default) << e.name;
-      EXPECT_FALSE(e.caps.ablation_rung) << e.name;
-      EXPECT_FALSE(e.caps.lin) << e.name;
-      EXPECT_EQ(e.name.rfind("str-", 0), 0u)
-          << e.name << ": bytes-domain slugs carry the str- prefix";
+      // Codec-wrapped str trees are swept by the conformance and lin
+      // batteries but stay out of the u64 figure sweeps and the ablation
+      // ladder.
+      EXPECT_FALSE(e.caps.figure_default) << e.kind;
+      EXPECT_FALSE(e.caps.ablation_rung) << e.kind;
+      EXPECT_EQ(e.kind.rfind("str-", 0), 0u)
+          << e.kind << ": bytes-domain slugs carry the str- prefix";
       EXPECT_EQ(e.display.rfind("Str-", 0), 0u) << e.display;
     }
   }
@@ -77,17 +79,15 @@ TEST(TreeRegistry, StrFactoriesIffBytesDomain) {
 
   const auto* str_htm = tree_registry().by_name("str-htm-bptree");
   ASSERT_NE(str_htm, nullptr);
-  EXPECT_TRUE(str_htm->caps.uses_htm);
+  EXPECT_TRUE(str_htm->caps.has_global_fallback);
   EXPECT_EQ(str_htm->display, "Str-HTM-B+Tree");
 
   const auto* str_mass = tree_registry().by_name("str-masstree");
   ASSERT_NE(str_mass, nullptr);
-  EXPECT_FALSE(str_mass->caps.uses_htm);
   EXPECT_FALSE(str_mass->caps.has_global_fallback);
 
   const auto* str_lock = tree_registry().by_name("str-lock-bptree");
   ASSERT_NE(str_lock, nullptr);
-  EXPECT_FALSE(str_lock->caps.uses_htm);
   EXPECT_FALSE(str_lock->caps.has_global_fallback);
 }
 
@@ -103,55 +103,47 @@ TEST(TreeRegistry, BuiltinsPresentWithExpectedCaps) {
   const auto* euno = tree_registry().by_name("euno");
   ASSERT_NE(euno, nullptr);
   EXPECT_TRUE(euno->caps.figure_default);
-  EXPECT_TRUE(euno->caps.partitioned_leaves);
   EXPECT_EQ(euno->display, "Euno-B+Tree");
 
   const auto* skiplist = tree_registry().by_name("euno-skiplist");
   ASSERT_NE(skiplist, nullptr);
-  EXPECT_EQ(skiplist->kind, TreeKind::kEunoSkipList);
   EXPECT_TRUE(skiplist->caps.figure_default);
-  EXPECT_TRUE(skiplist->caps.partitioned_leaves);
-  EXPECT_TRUE(skiplist->caps.uses_htm);
   EXPECT_EQ(skiplist->display, "Euno-SkipList");
 
   const auto* lock = tree_registry().by_name("lock-bptree");
   ASSERT_NE(lock, nullptr);
-  EXPECT_EQ(lock->kind, TreeKind::kLockBPTree);
   EXPECT_FALSE(lock->caps.figure_default);
-  EXPECT_FALSE(lock->caps.uses_htm);
 
   const auto* masstree = tree_registry().by_name("masstree");
   ASSERT_NE(masstree, nullptr);
-  EXPECT_FALSE(masstree->caps.uses_htm);
   EXPECT_FALSE(masstree->caps.has_global_fallback)
       << "plain OLC never takes the global fallback lock";
 
   const auto* rcu = tree_registry().by_name("rcu-bptree");
   ASSERT_NE(rcu, nullptr);
-  EXPECT_EQ(rcu->kind, TreeKind::kRcuBPTree);
   EXPECT_TRUE(rcu->caps.figure_default);
-  EXPECT_TRUE(rcu->caps.uses_htm);
   EXPECT_TRUE(rcu->caps.has_global_fallback)
       << "the splice transaction subscribes the per-tree fallback lock";
   EXPECT_EQ(rcu->display, "RCU-HTM-B+Tree");
 
   const auto* threepath = tree_registry().by_name("3path-bptree");
   ASSERT_NE(threepath, nullptr);
-  EXPECT_EQ(threepath->kind, TreeKind::kThreePathBPTree);
   EXPECT_TRUE(threepath->caps.figure_default);
-  EXPECT_TRUE(threepath->caps.uses_htm);
   EXPECT_FALSE(threepath->caps.has_global_fallback)
       << "three-path degrades fast->middle->slow; the lock is terminal only";
   EXPECT_EQ(threepath->display, "3Path-B+Tree");
 
   EXPECT_FALSE(lock->caps.has_global_fallback);
 
-  // Figure 13 ladder: exactly the five cumulative rungs plus the baseline.
-  std::size_t rungs = 0;
+  // Figure 13 ladder: the baseline, then the five cumulative rungs — in
+  // registration order, which is the order fig13_ablation runs them in.
+  std::vector<std::string> rungs;
   for (const auto& e : tree_registry().entries()) {
-    if (e.caps.ablation_rung) ++rungs;
+    if (e.caps.ablation_rung) rungs.push_back(e.kind);
   }
-  EXPECT_EQ(rungs, 6u);
+  EXPECT_EQ(rungs, (std::vector<std::string>{
+                       "htm-bptree", "euno-split", "euno-part",
+                       "euno-lockbits", "euno-markbits", "euno-adaptive"}));
 }
 
 TEST(TreeRegistry, RegistrationOrderStartsWithTheOriginalNine) {
@@ -163,7 +155,7 @@ TEST(TreeRegistry, RegistrationOrderStartsWithTheOriginalNine) {
                             "euno",          "euno-split",    "euno-part",
                             "euno-lockbits", "euno-markbits", "euno-adaptive"};
   for (std::size_t i = 0; i < 9; ++i) {
-    EXPECT_EQ(entries[i].name, expected[i]) << "position " << i;
+    EXPECT_EQ(entries[i].kind, expected[i]) << "position " << i;
   }
 }
 
