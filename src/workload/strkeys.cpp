@@ -1,7 +1,5 @@
 #include "workload/strkeys.hpp"
 
-#include <cstdio>
-
 #include "util/hash.hpp"
 
 namespace euno::workload {
@@ -42,11 +40,17 @@ constexpr const char* kWords[16] = {
 constexpr char kPayloadAlphabet[] =
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
 
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+/// Appends the low `digits` hex digits of `v`, lowercase and zero padded:
+/// the bytes snprintf("%0*llx") writes for any v < 16^digits.
 void append_hex(std::string* s, std::uint64_t v, int digits) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%0*llx", digits,
-                static_cast<unsigned long long>(v));
-  s->append(buf);
+  char buf[16];
+  for (int i = digits - 1; i >= 0; --i) {
+    buf[i] = kHexDigits[v & 15];
+    v >>= 4;
+  }
+  s->append(buf, static_cast<std::size_t>(digits));
 }
 
 }  // namespace
@@ -86,8 +90,7 @@ std::string StringKeySpace::key_of(std::uint64_t id) const {
 std::string StringKeySpace::payload_of(std::uint64_t id, std::uint64_t salt,
                                        std::uint32_t bytes) const {
   constexpr std::uint64_t kAlpha = sizeof(kPayloadAlphabet) - 1;
-  std::string out;
-  out.reserve(bytes);
+  std::string out(bytes, '\0');
   std::uint64_t state = mix64(seed_ ^ mix64(id) ^ (salt * 0x9e3779b97f4a7c15ull));
   // 10 alphabet draws per mix64 refresh: 62^10 < 2^64 keeps each draw's bias
   // negligible and the refresh cost amortized.
@@ -97,7 +100,7 @@ std::string StringKeySpace::payload_of(std::uint64_t id, std::uint64_t salt,
       state = mix64(state + 0x9e3779b97f4a7c15ull);
       draws = 0;
     }
-    out += kPayloadAlphabet[state % kAlpha];
+    out[i] = kPayloadAlphabet[state % kAlpha];
     state /= kAlpha;
     ++draws;
   }

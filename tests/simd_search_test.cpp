@@ -13,9 +13,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "ctx/native_ctx.hpp"
+#include "ctx/sim_ctx.hpp"
 #include "trees/key_traits.hpp"
+#include "trees/node/consecutive.hpp"
 #include "trees/node/simd_search.hpp"
 
 namespace euno::trees::node::simd {
@@ -178,9 +182,12 @@ TEST(SimdSearch, FindEqPairsMatchesScalarEverywhere) {
 // --- Prefix-slice kernels (bytes key domain) --------------------------------
 //
 // Bytes-domain nodes search the same u64 kernels over big-endian packed
-// prefix slices (key_traits.hpp bytes_prefix). These cases feed the kernels
-// slice arrays produced from real string corpora, concentrating on the two
-// shapes that distinguish the bytes domain from arbitrary u64 keys:
+// prefix slices (key_traits.hpp bytes_prefix): natively they bound the run of
+// slots whose slice equals the key's, and only that run is binary-searched by
+// out-of-line box compares (the NativeBytesProbe cases at the end check the
+// whole probe). These cases feed the kernels slice arrays produced from real
+// string corpora, concentrating on the two shapes that distinguish the bytes
+// domain from arbitrary u64 keys:
 //  - long shared prefixes, where many slices are EQUAL (count_le must count
 //    the whole plateau; duplicate-heavy inputs stress the tail masks), and
 //  - bytes >= 0x80 in the leading positions, which set the packed word's
@@ -315,6 +322,171 @@ TEST(SimdPrefixSearch, FindEqPairsMatchesScalarOnSliceArrays) {
       }
     }
   }
+}
+
+// --- Native bytes-domain node probes -----------------------------------------
+//
+// child_index/leaf_find on bytes-domain nodes under a raw-memory context:
+// the kernels bound the run of slots sharing the key's slice, and only that
+// run is resolved by box compares. Nodes carry equal-slice runs of every
+// length 0..F; each probe must agree with a sorted-array oracle and with the
+// instrumented (SimCtx) binary search, and a counting context bounds the box
+// compares per probe by the run's binary-search depth.
+
+/// Raw-memory context that counts box compares: box_key_compare reads a
+/// box's header word (BytesBox::meta) exactly once per compare.
+struct BoxCountingCtx {
+  static constexpr bool kRawMemory = true;
+  const std::unordered_set<const void*>* metas = nullptr;
+  int compares = 0;
+
+  template <class T>
+  T read(const T& src) {
+    if (metas->count(&src) != 0) ++compares;
+    return src;
+  }
+  void prefetch(const void*, std::size_t = 0) const {}
+};
+
+/// 2F+1 distinct keys that all share the slice of "abc": keys shorter than
+/// 8 bytes (zero padding makes "abc" and "abc\0\0" slice-equal), the exact
+/// 8-byte prefix of every longer one, embedded NULs, and sign-bit bytes.
+std::vector<std::string> equal_slice_pool(int fanout) {
+  const std::string base8("abc\0\0\0\0\0", 8);
+  std::vector<std::string> v;
+  for (std::size_t k = 0; k <= 5; ++k) v.push_back("abc" + std::string(k, '\0'));
+  for (const unsigned char b : {0x00, 0x01, 0x20, 0x41, 0x61, 0x7f, 0x80, 0xc0, 0xff}) {
+    const std::string s = base8 + static_cast<char>(b);
+    v.push_back(s);
+    v.push_back(s + '\0');
+    v.push_back(s + "tail");
+    v.push_back(s + std::string(17, 'z'));
+  }
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  EUNO_ASSERT(v.size() >= static_cast<std::size_t>(2 * fanout + 1));
+  v.resize(static_cast<std::size_t>(2 * fanout + 1));
+  return v;
+}
+
+int ceil_log2(int x) {
+  int bits = 0;
+  while ((1 << bits) < x) ++bits;
+  return bits;
+}
+
+using BT = BytesKeyTraits;
+
+/// One node pair (interior + leaf) over the same sorted keys, boxes owned.
+template <class Node>
+struct ProbeNodes {
+  ctx::NativeCtx& c;
+  Node* inner;
+  Node* leaf;
+  std::vector<BytesBox*> boxes;
+
+  ProbeNodes(ctx::NativeCtx& ctx, const std::vector<std::string>& keys)
+      : c(ctx), inner(Node::alloc(ctx, false)), leaf(Node::alloc(ctx, true)) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const std::uint64_t slice = bytes_prefix(keys[i].data(), keys[i].size());
+      BytesBox* b = make_box(c, BytesView(keys[i]), i, {});
+      boxes.push_back(b);
+      inner->idx.keys[i] = slice;
+      inner->idx.seps[i] = b;
+      leaf->recs[i] = Record{slice, reinterpret_cast<Value>(b)};
+    }
+    inner->count = leaf->count = static_cast<std::uint32_t>(keys.size());
+  }
+  ~ProbeNodes() {
+    for (BytesBox* b : boxes) free_box(c, b);
+    c.free(inner, sizeof(Node), MemClass::kInternalNode);
+    c.free(leaf, sizeof(Node), MemClass::kLeafNode);
+  }
+};
+
+template <class Node>
+void check_native_bytes_probes() {
+  constexpr int F = Node::kFanout;
+  ctx::NativeEnv env;
+  ctx::NativeCtx native(env, 0);
+  sim::MachineConfig cfg;
+  cfg.arena_bytes = 16ull << 20;
+  sim::Simulation simulation(cfg);
+  ctx::SimCtx simc(simulation, 0);  // outside any fiber: uninstrumented reads
+
+  const std::vector<std::string> pool = equal_slice_pool(F);
+  std::vector<std::string> before, after;  // slices below / above "abc"'s
+  for (int i = 0; i < F; ++i) {
+    const std::string d = std::to_string(10 + i);
+    before.push_back("abb-" + d);
+    after.push_back(i % 2 == 0 ? "abc\x01" + d : "abd-" + d);
+  }
+  std::sort(after.begin(), after.end());
+
+  for (int run = 0; run <= F; ++run) {
+    for (const int nb : {0, (F - run) / 2}) {
+      for (const int na : {0, F - run - nb}) {
+        // The run takes every other pool key; the rest probe its gaps.
+        std::vector<std::string> keys(before.begin(), before.begin() + nb);
+        for (int i = 0; i < run; ++i) keys.push_back(pool[2 * i + 1]);
+        keys.insert(keys.end(), after.begin(), after.begin() + na);
+        ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+        ProbeNodes<Node> nodes(native, keys);
+        std::unordered_set<const void*> metas;
+        for (BytesBox* b : nodes.boxes) metas.insert(&b->meta);
+        BoxCountingCtx counting{&metas, 0};
+
+        std::vector<std::string> probes = pool;
+        probes.insert(probes.end(), before.begin(), before.end());
+        probes.insert(probes.end(), after.begin(), after.end());
+        for (const char* extra : {"", "ab", "abc\x01", "abd", "\xff\xff\xff"}) {
+          probes.emplace_back(extra);
+        }
+        for (const std::string& p : probes) {
+          const BT::Arg arg = BT::make_arg(BytesView(p));
+          const int want_child = static_cast<int>(
+              std::upper_bound(keys.begin(), keys.end(), p) - keys.begin());
+          const auto hit = std::find(keys.begin(), keys.end(), p);
+          const int want_leaf =
+              hit == keys.end() ? -1 : static_cast<int>(hit - keys.begin());
+          const std::string where = "F=" + std::to_string(F) +
+                                    " run=" + std::to_string(run) +
+                                    " nb=" + std::to_string(nb) +
+                                    " na=" + std::to_string(na) +
+                                    " probe#" + std::to_string(&p - &probes[0]);
+
+          ASSERT_EQ(child_index<BT>(native, nodes.inner, arg), want_child) << where;
+          ASSERT_EQ(child_index<BT>(simc, nodes.inner, arg), want_child) << where;
+          ASSERT_EQ(leaf_find<BT>(native, nodes.leaf, arg), want_leaf) << where;
+          ASSERT_EQ(leaf_find<BT>(simc, nodes.leaf, arg), want_leaf) << where;
+
+          // Box compares are confined to the probe's equal-slice run and
+          // bounded by a binary search over it.
+          int same_slice = 0;
+          for (const auto& k : keys) {
+            if (bytes_prefix(k.data(), k.size()) == arg.prefix) ++same_slice;
+          }
+          const int bound = ceil_log2(same_slice + 1) + 1;
+          counting.compares = 0;
+          ASSERT_EQ(child_index<BT>(counting, nodes.inner, arg), want_child) << where;
+          EXPECT_LE(counting.compares, bound) << "child_index " << where;
+          counting.compares = 0;
+          ASSERT_EQ(leaf_find<BT>(counting, nodes.leaf, arg), want_leaf) << where;
+          EXPECT_LE(counting.compares, bound) << "leaf_find " << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdPrefixSearch, NativeBytesProbeDbxNode) {
+  check_native_bytes_probes<DbxNode<16, BytesKeyTraits>>();
+  check_native_bytes_probes<DbxNode<5, BytesKeyTraits>>();
+}
+
+TEST(SimdPrefixSearch, NativeBytesProbeVersionedNode) {
+  check_native_bytes_probes<VersionedNode<16, BytesKeyTraits>>();
+  check_native_bytes_probes<VersionedNode<5, BytesKeyTraits>>();
 }
 
 }  // namespace

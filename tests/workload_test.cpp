@@ -2,10 +2,15 @@
 // parameterizations, op mixes honour their ratios, streams are deterministic.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 #include "workload/distributions.hpp"
+#include "workload/strkeys.hpp"
 #include "workload/ycsb.hpp"
 
 namespace euno::workload {
@@ -189,6 +194,67 @@ TEST(WorkloadSpec, DescribeMentionsKeyFacts) {
   const auto d = spec.describe();
   EXPECT_NE(d.find("zipfian"), std::string::npos);
   EXPECT_NE(d.find("0.9"), std::string::npos);
+}
+
+// The ids StringKeySpace must format exactly: the extremes of both styles'
+// hex fields plus a seeded sample.
+std::vector<std::uint64_t> key_space_ids() {
+  std::vector<std::uint64_t> ids = {0, 1, (1ull << 48) - 1, ~0ull};
+  Xoshiro256 rng(0x5eed);
+  for (int i = 0; i < 10000; ++i) ids.push_back(rng.next());
+  return ids;
+}
+
+std::string printf_hex(std::uint64_t v, int digits) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%0*llx", digits,
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// Keys are byte-identical to the snprintf formatting they are defined by.
+TEST(StringKeySpace, KeysMatchPrintfFormatting) {
+  for (const std::uint64_t seed : {0ull, 42ull}) {
+    const StringKeySpace url(KeyStyle::kUrl, seed);
+    const StringKeySpace uuid(KeyStyle::kUuid, seed);
+    for (const std::uint64_t id : key_space_ids()) {
+      // url: host/word/word/ then the id in 16 hex digits.
+      const std::string u = url.key_of(id);
+      ASSERT_GT(u.size(), 17u);
+      ASSERT_EQ(u.substr(u.size() - 17), "/" + printf_hex(id, 16)) << u;
+      // uuid: every field comes from the key hash and the id.
+      const std::uint64_t h = mix64(seed ^ mix64(id + 1));
+      const std::string want =
+          printf_hex((h >> 32) & 0xffffffffull, 8) + "-" +
+          printf_hex((h >> 16) & 0xffffull, 4) + "-" +
+          printf_hex(0x4000 | (h & 0x0fff), 4) + "-" +
+          printf_hex(0x8000 | ((h >> 48) & 0x3fff), 4) + "-" +
+          printf_hex(id & 0xffffffffffffull, 12);
+      ASSERT_EQ(uuid.key_of(id), want);
+    }
+  }
+}
+
+// Payloads are byte-identical to the character-at-a-time reference.
+TEST(StringKeySpace, PayloadsMatchReference) {
+  constexpr char kAlphabet[] =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+  constexpr std::uint64_t kAlpha = sizeof(kAlphabet) - 1;
+  const std::uint64_t seed = 7;
+  const StringKeySpace ks(KeyStyle::kUrl, seed);
+  std::uint32_t bytes = 0;
+  for (const std::uint64_t id : key_space_ids()) {
+    const std::uint64_t salt = id * 3 + 1;
+    std::string want;
+    std::uint64_t state = mix64(seed ^ mix64(id) ^ (salt * 0x9e3779b97f4a7c15ull));
+    for (std::uint32_t i = 0; i < bytes; ++i) {
+      if (i > 0 && i % 10 == 0) state = mix64(state + 0x9e3779b97f4a7c15ull);
+      want += kAlphabet[state % kAlpha];
+      state /= kAlpha;
+    }
+    ASSERT_EQ(ks.payload_of(id, salt, bytes), want) << "id=" << id;
+    bytes = (bytes + 7) % 97;  // 0..96 bytes, crossing every refresh point
+  }
 }
 
 }  // namespace
